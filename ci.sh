@@ -139,12 +139,6 @@ ls flight/tail-exceedance-*.json >/dev/null
 echo "==> serve property tests: LRU vs reference model (vendored proptest)"
 cargo test -q --offline -p pwf-serve --features heavy-deps --test lru_properties
 
-echo "==> checker still drives the retained dyn-dispatch path"
-# The model checker replays heterogeneous Box<dyn Process> fleets
-# through the same monomorphized core; rerun the smoke after the
-# perf-path exercise to confirm both instantiations stay healthy.
-./target/release/pwf vet --fast
-
 echo "==> sparse-vs-dense solver property tests (vendored proptest)"
 cargo test -q --offline --features heavy-deps --test sparse_markov_properties
 

@@ -13,16 +13,20 @@
 //! here, as the paper suggests, by embedding a per-process timestamp
 //! into proposals).
 
+use std::sync::Arc;
+
 use pwf_sim::memory::{RegisterId, SharedMemory};
 use pwf_sim::process::{Process, ProcessId, StepOutcome};
 
 /// Shared registers of an `SCU(q, s)` object: the decision register
 /// `R`, the auxiliary scan registers `R_1 … R_{s−1}`, and a scratch
-/// register absorbing preamble accesses.
+/// register absorbing preamble accesses. Clones share the register
+/// list, so copying a process (one per simulated or checked process)
+/// allocates nothing.
 #[derive(Debug, Clone)]
 pub struct ScuObject {
     decision: RegisterId,
-    aux: Vec<RegisterId>,
+    aux: Arc<[RegisterId]>,
     scratch: RegisterId,
 }
 

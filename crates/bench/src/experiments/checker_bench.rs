@@ -14,8 +14,12 @@
 //!   `--jobs` 1, 2, and 8;
 //! - the gate: at the largest target, the frontier with the cache on
 //!   (at `--jobs` = available cores) must beat the recursive baseline
-//!   outright — path compression alone guarantees this even on one
-//!   core, where thread parallelism contributes nothing.
+//!   outright — expanding state snapshots instead of replaying every
+//!   prefix guarantees this even on one core, where thread parallelism
+//!   contributes nothing.
+//!
+//! Each target also records the peak number of frontier units alive
+//! at once and the bytes their state snapshots held.
 
 use std::path::Path;
 use std::time::Instant;
@@ -161,6 +165,14 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
             ("ms_frontier_cached".into(), Json::Num(cached_ms)),
             ("speedup_cached".into(), Json::Num(speedup)),
             ("speedup_nocache".into(), Json::Num(rec_ms / frontier_ms)),
+            (
+                "peak_frontier_units".into(),
+                Json::Int(cached.stats.peak_frontier_units as i128),
+            ),
+            (
+                "peak_frontier_bytes".into(),
+                Json::Int(cached.stats.peak_frontier_bytes as i128),
+            ),
         ]));
     }
 

@@ -8,8 +8,8 @@
 //! are actually correct concurrent objects in every schedule, not just
 //! the likely ones:
 //!
-//! * [`explore`] — a loom-style stateless schedule explorer with
-//!   sleep-set dynamic partial-order reduction, driving
+//! * [`explore`] — a schedule explorer with sleep-set dynamic
+//!   partial-order reduction over snapshots of reached states, driving
 //!   [`pwf_sim::process::Process`] implementations through every
 //!   inequivalent interleaving of a bounded configuration; the
 //!   frontier is drained by a work-stealing pool ([`pool`]) over a

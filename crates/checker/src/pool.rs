@@ -7,7 +7,8 @@
 //! and claims leftover indices through the victims' cursors (the same
 //! fetch-add, so claims stay unique without any hand-off protocol).
 //! Stealing keeps all workers busy when unit costs are skewed — one
-//! deep replay does not idle the rest of the pool.
+//! unit with a long compressed chain does not idle the rest of the
+//! pool.
 //!
 //! Results land in per-index slots, so the returned vector is in input
 //! order regardless of which worker computed what — the same

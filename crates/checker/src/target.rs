@@ -3,12 +3,14 @@
 //! spec, and per-process operation budgets that define one small,
 //! exhaustively explorable configuration.
 //!
-//! Exploration is *stateless* (CHESS-style): the explorer never clones
-//! a live configuration. Instead a [`CheckTarget`] carries a factory
-//! closure that rebuilds the configuration from scratch, and every
-//! branch of the schedule tree replays its prefix against a fresh
-//! build. This sidesteps processes whose local state is not cloneable
-//! (e.g. the hardware-backed ones holding `Rc<RefCell<…>>` handles).
+//! A [`CheckTarget`] carries a factory that builds the initial
+//! configuration. The frontier explorer builds it once per exploration
+//! and from then on *snapshots* reached states: every checkable
+//! process is plain data behind [`CheckProcess::clone_box`], so a
+//! frontier unit clones the live run it reached instead of rebuilding
+//! and replaying its schedule prefix. Only the recursive baseline
+//! ([`crate::explore::explore_recursive`]) and schedule re-execution
+//! ([`crate::explore::run_schedule`]) still rebuild from the factory.
 
 use pwf_sim::memory::SharedMemory;
 use pwf_sim::process::{Process, StepOutcome};
@@ -22,7 +24,10 @@ use crate::spec::Spec;
 /// [`Process::step`] completed; it is only read immediately after a
 /// step returning [`StepOutcome::Completed`], so implementations may
 /// let the value go stale between completions.
-pub trait CheckProcess: Process {
+///
+/// Processes are `Send + Sync` plain data: frontier snapshots are
+/// cloned and expanded on worker threads.
+pub trait CheckProcess: Process + Send + Sync {
     /// The operation completed by the most recent `Completed` step.
     fn last_op(&self) -> OpRecord;
 
@@ -32,6 +37,18 @@ pub trait CheckProcess: Process {
     /// table, so two states with equal fingerprints must behave
     /// identically from here on.
     fn local_fingerprint(&self) -> u64;
+
+    /// A boxed copy of this process in its current state. Stepping the
+    /// copy must not affect the original; per-configuration data that
+    /// never changes (scripts, register layouts) should be shared, not
+    /// copied, to keep snapshots cheap.
+    fn clone_box(&self) -> Box<dyn CheckProcess>;
+}
+
+impl Clone for Box<dyn CheckProcess> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
 }
 
 impl std::fmt::Debug for dyn CheckProcess + '_ {
@@ -118,8 +135,9 @@ pub struct CheckTarget {
     pub expect_failure: bool,
     /// The progress standard the target is audited against.
     pub progress: Progress,
-    /// Factory: builds a fresh configuration. Called once per explored
-    /// execution, so it must be deterministic.
+    /// Factory: builds a fresh configuration. Called once per frontier
+    /// exploration (and once per execution by the recursive baseline
+    /// and by schedule re-execution), so it must be deterministic.
     pub build: fn() -> CheckConfig,
 }
 
@@ -134,6 +152,7 @@ impl CheckTarget {
 mod tests {
     use super::*;
 
+    #[derive(Clone)]
     struct Fixed(pwf_sim::memory::RegisterId);
 
     impl Process for Fixed {
@@ -158,6 +177,10 @@ mod tests {
 
         fn local_fingerprint(&self) -> u64 {
             0
+        }
+
+        fn clone_box(&self) -> Box<dyn CheckProcess> {
+            Box::new(self.clone())
         }
     }
 

@@ -10,6 +10,7 @@ use crate::spec::Spec;
 use crate::target::{CheckConfig, CheckProcess, CheckTarget, Progress};
 
 /// [`FaiProcess`] lifted into a checkable process.
+#[derive(Clone)]
 pub struct FaiAdapter {
     inner: FaiProcess,
 }
@@ -45,12 +46,17 @@ impl CheckProcess for FaiAdapter {
     fn local_fingerprint(&self) -> u64 {
         self.inner.fingerprint()
     }
+
+    fn clone_box(&self) -> Box<dyn CheckProcess> {
+        Box::new(self.clone())
+    }
 }
 
 /// The classic broken counter: `inc` *reads* the register in one step
 /// and *writes* `read + 1` in the next, with no validation in between
 /// — the textbook lost-update race a CAS (or fetch-and-inc) exists to
 /// prevent. Two overlapping increments can both return the same value.
+#[derive(Clone)]
 pub struct RwCounter {
     reg: RegisterId,
     seen: Option<u64>,
@@ -101,12 +107,17 @@ impl CheckProcess for RwCounter {
     fn local_fingerprint(&self) -> u64 {
         fnv1a(0x6A09_E667, &[self.seen.map_or(u64::MAX, |v| v)])
     }
+
+    fn clone_box(&self) -> Box<dyn CheckProcess> {
+        Box::new(self.clone())
+    }
 }
 
 /// A process that spins reading a register and never completes its
 /// operation: the minimal lock-freedom violation. Any schedule
 /// confining itself to spinners revisits a global state without a
 /// completion, which the explorer reports as a livelock.
+#[derive(Clone)]
 pub struct Spinner {
     reg: RegisterId,
 }
@@ -136,6 +147,10 @@ impl CheckProcess for Spinner {
 
     fn local_fingerprint(&self) -> u64 {
         0
+    }
+
+    fn clone_box(&self) -> Box<dyn CheckProcess> {
+        Box::new(self.clone())
     }
 }
 

@@ -74,6 +74,7 @@ impl DPhase {
 /// One coalescing requester: leader or joiner, decided by the claim
 /// CAS. With `notify_before_publish` the leader's publish and notify
 /// steps are swapped — the seeded lost-wakeup mutant.
+#[derive(Clone)]
 pub struct DedupProcess {
     flight: RegisterId,
     input: RegisterId,
@@ -166,6 +167,10 @@ impl CheckProcess for DedupProcess {
 
     fn local_fingerprint(&self) -> u64 {
         fnv1a(0xDED0_0DED, &[self.phase.code(), self.fetched])
+    }
+
+    fn clone_box(&self) -> Box<dyn CheckProcess> {
+        Box::new(self.clone())
     }
 }
 

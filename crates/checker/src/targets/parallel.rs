@@ -15,6 +15,7 @@ use crate::target::{CheckConfig, CheckProcess, CheckTarget, Progress};
 /// `q − 1` reads followed by a write publishing a fresh value. Checked
 /// against the single-writer snapshot spec (updates are always legal;
 /// the point of this target is the schedule *count*, not the object).
+#[derive(Clone)]
 pub struct OwnRegisterWriter {
     reg: RegisterId,
     writer: usize,
@@ -71,6 +72,10 @@ impl CheckProcess for OwnRegisterWriter {
 
     fn local_fingerprint(&self) -> u64 {
         fnv1a(0x243F_6A88, &[self.pos as u64, self.count])
+    }
+
+    fn clone_box(&self) -> Box<dyn CheckProcess> {
+        Box::new(self.clone())
     }
 }
 

@@ -16,6 +16,7 @@ use crate::spec::Spec;
 use crate::target::{CheckConfig, CheckProcess, CheckTarget, Progress};
 
 /// [`ScuProcess`] lifted into a checkable process.
+#[derive(Clone)]
 pub struct ScuAdapter {
     inner: ScuProcess,
 }
@@ -54,6 +55,10 @@ impl CheckProcess for ScuAdapter {
 
     fn local_fingerprint(&self) -> u64 {
         self.inner.fingerprint()
+    }
+
+    fn clone_box(&self) -> Box<dyn CheckProcess> {
+        Box::new(self.clone())
     }
 }
 

@@ -14,6 +14,8 @@
 //! operations anyway), and pop/push retry loops mirror the real
 //! Treiber structure: read top, read through it, validate with CAS.
 
+use std::sync::Arc;
+
 use pwf_sim::memory::{fnv1a, RegisterId, SharedMemory};
 use pwf_sim::process::{Process, StepOutcome};
 
@@ -31,7 +33,7 @@ pub enum StackOp {
 }
 
 /// Register layout of the array-backed stack.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Layout {
     top: RegisterId,
     /// `value[i - 1]` for node `i`.
@@ -99,11 +101,13 @@ impl SPhase {
 }
 
 /// A process running a short script of pushes and pops against the
-/// array-backed Treiber stack.
+/// array-backed Treiber stack. The layout and script never change
+/// after the build, so snapshots share them.
+#[derive(Clone)]
 pub struct ScriptStackProcess {
-    layout: Layout,
+    layout: Arc<Layout>,
     tagged: bool,
-    script: Vec<StackOp>,
+    script: Arc<[StackOp]>,
     pos: usize,
     phase: SPhase,
     /// Nodes this process popped and may reuse, oldest first — FIFO
@@ -133,7 +137,7 @@ impl ScriptStackProcess {
 
 impl Process for ScriptStackProcess {
     fn step(&mut self, mem: &mut SharedMemory) -> StepOutcome {
-        let l = self.layout.clone();
+        let l: &Layout = &self.layout;
         match self.phase {
             SPhase::Start => match self.script[self.pos] {
                 StackOp::Push(v) => {
@@ -227,12 +231,18 @@ impl CheckProcess for ScriptStackProcess {
     }
 
     fn local_fingerprint(&self) -> u64 {
-        let mut words = vec![self.pos as u64, self.phase.code()];
-        words.extend_from_slice(&self.phase.words());
-        words.push(self.spare.map_or(0, |s| s + 1));
-        words.push(self.recycled.len() as u64);
-        words.extend_from_slice(&self.recycled);
-        fnv1a(0xB7E1_5162, &words)
+        // Folded piecewise: fnv1a(fnv1a(s, a), b) == fnv1a(s, a ++ b).
+        let h = fnv1a(0xB7E1_5162, &[self.pos as u64, self.phase.code()]);
+        let h = fnv1a(h, &self.phase.words());
+        let h = fnv1a(
+            h,
+            &[self.spare.map_or(0, |s| s + 1), self.recycled.len() as u64],
+        );
+        fnv1a(h, &self.recycled)
+    }
+
+    fn clone_box(&self) -> Box<dyn CheckProcess> {
+        Box::new(self.clone())
     }
 }
 
@@ -258,15 +268,15 @@ fn build_stack(initial: &[u64], scripts: &[&[StackOp]], tagged: bool) -> CheckCo
         value.push(mem.alloc(0));
         next.push(mem.alloc(0));
     }
-    let layout = Layout { top, value, next };
+    let layout = Arc::new(Layout { top, value, next });
     let procs: Vec<Box<dyn CheckProcess>> = scripts
         .iter()
         .enumerate()
         .map(|(i, script)| {
             Box::new(ScriptStackProcess {
-                layout: layout.clone(),
+                layout: Arc::clone(&layout),
                 tagged,
-                script: script.to_vec(),
+                script: Arc::from(*script),
                 pos: 0,
                 phase: SPhase::Start,
                 recycled: Vec::new(),

@@ -69,9 +69,9 @@ echo "==> pwf lint: workspace-wide concurrency static analysis"
 # fingerprint-valid lint.allow entry, any stale entry, and any edit to
 # an allowed site that was not re-justified fails the build.
 ./target/release/pwf lint
-# The compatibility alias must keep working against the same allow
-# file (orderings pass only, pass-aware staleness).
-./target/release/pwf vet --orderings
+# A single-pass run must stay clean against the same allow file
+# (orderings pass only, pass-aware staleness).
+./target/release/pwf lint --pass orderings --crate hardware
 # The JSON surface stays machine-readable and reports a clean tree.
 ./target/release/pwf lint --json | grep -q '"clean":true}}'
 
@@ -88,10 +88,9 @@ echo "==> markov perf smoke: matrix-free engine vs dense, lifting at n=100"
 # the matrix-free operator pipeline and returns nonzero if the
 # operator path is not strictly faster at the dense wall, if the
 # symmetry-reduced lifting check at n >= 100 exceeds a 1e-12 kernel
-# residual, if solver throughput is not positive, or if the
-# out-of-core spill solve is not bit-identical; it also refreshes
-# BENCH_markov.json. (--fast keeps the dense side at n <= 6 but still
-# runs the n = 100 matrix-free sweep.)
+# residual, or if solver throughput is not positive; it also
+# refreshes BENCH_markov.json. (--fast keeps the dense side at n <= 6
+# but still runs the n = 100 matrix-free sweep.)
 ./target/release/pwf run exp_markov_bench --fast
 grep -q '"speedup"' BENCH_markov.json
 grep -q '"lifting_verified_n": 100' BENCH_markov.json
@@ -142,7 +141,7 @@ cargo test -q --offline -p pwf-serve --features heavy-deps --test lru_properties
 echo "==> sparse-vs-dense solver property tests (vendored proptest)"
 cargo test -q --offline --features heavy-deps --test sparse_markov_properties
 
-echo "==> operator property tests: implicit vs CSR, spill, dense blocks (vendored proptest)"
+echo "==> operator property tests: default apply and solve vs CSR (vendored proptest)"
 cargo test -q --offline -p pwf-markov --features heavy-deps --test operator_properties
 
 echo "==> sampler property tests (vendored proptest)"

@@ -163,10 +163,6 @@ impl TransitionOperator for FaiGlobalOperator {
             row.push(((i + 1) as u32, 1.0 - v as f64 / nf));
         }
     }
-
-    fn resident_rows(&self) -> usize {
-        1
-    }
 }
 
 /// System latency for large `n` via the matrix-free operator and
@@ -508,7 +504,6 @@ mod tests {
             let op = operator_return_time_of_win_state(n, &opts, None).unwrap();
             assert_eq!(op.to_bits(), sparse.to_bits(), "n={n}");
         }
-        assert_eq!(FaiGlobalOperator::new(9).resident_rows(), 1);
     }
 
     #[test]

@@ -163,10 +163,6 @@ impl TransitionOperator for LockSystemOperator {
             row.push((i as u32, 1.0 - 1.0 / nf));
         }
     }
-
-    fn resident_rows(&self) -> usize {
-        1
-    }
 }
 
 /// Builds the individual chain (holder identities tracked).
@@ -341,7 +337,6 @@ mod tests {
                 assert_eq!(row, want, "n={n} cs={cs} row {i}");
             }
         }
-        assert_eq!(LockSystemOperator::new(4, 2).resident_rows(), 1);
     }
 
     #[test]

@@ -282,10 +282,6 @@ impl TransitionOperator for ScanSystemOperator {
         }
         row.truncate(w);
     }
-
-    fn resident_rows(&self) -> usize {
-        1
-    }
 }
 
 /// Exact system latency of `SCU(0, s)` with mid-scan invalidation,
@@ -476,7 +472,6 @@ mod tests {
                 assert_eq!(row, want, "n={n} s={s} row {i}");
             }
         }
-        assert_eq!(ScanSystemOperator::new(4, 2).resident_rows(), 1);
     }
 
     #[test]

@@ -274,11 +274,6 @@ impl ScuSystemOperator {
         }
     }
 
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Closed-form state index of `(a, b)` — the interning order of
     /// [`sparse_system_chain`].
     ///
@@ -362,10 +357,6 @@ impl TransitionOperator for ScuSystemOperator {
         if c > 0 {
             row.push((self.index(a + 1, n - a - 1) as u32, c as f64 / nf));
         }
-    }
-
-    fn resident_rows(&self) -> usize {
-        1
     }
 }
 
@@ -919,13 +910,6 @@ mod sparse_tests {
             assert_eq!(got.to_bits(), want.to_bits(), "n={n}");
             assert_eq!(stats.iterations, solve.stats.iterations, "n={n}");
         }
-    }
-
-    #[test]
-    fn operator_keeps_no_rows_resident() {
-        let op = ScuSystemOperator::new(64);
-        assert_eq!(op.resident_rows(), 1);
-        assert_eq!(op.n(), 64);
     }
 
     #[test]

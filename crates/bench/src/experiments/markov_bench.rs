@@ -1,37 +1,30 @@
 //! `exp_markov_bench` — the perf gate for the matrix-free Markov
 //! engine: times the dense direct-solve SCU analysis against the
 //! implicit-operator pipeline at the sizes both can run, sweeps the
-//! matrix-free engine to `n = 100`, exercises the cache-blocked dense
-//! kernel and the out-of-core CSR spill, and records the trajectory in
+//! matrix-free engine to `n = 100`, and records the trajectory in
 //! `BENCH_markov.json` so speedups are tracked across PRs.
 //!
 //! Wall-clock measurement is hardware-dependent, so the experiment
 //! registers `deterministic: false` and `pwf check` skips it; the
-//! agreement checks (dense and operator `W` within `1e-6`, spill solve
-//! bit-identical), the crossover gate (operator pipeline strictly
-//! faster at the dense wall), and the kernel-residual gate
-//! (`≤ 1e-12` at `n ≥ 100`) are what make it a test rather than a
+//! agreement check (dense and operator `W` within `1e-6`), the
+//! crossover gate (operator pipeline strictly faster at the dense
+//! wall), the kernel-residual gate (`≤ 1e-12` at `n ≥ 100`) and the
+//! positive-throughput gate are what make it a test rather than a
 //! report.
 //!
 //! Every per-size record carries the same schema — `n`, `sparse_ms`,
-//! `solver_iterations`, `kernel_residual`, `states_per_sec`,
-//! `resident_rows` (dense-comparison rows add `dense_ms`, `speedup`,
-//! `w_rel_err`) — so `pwf report`'s dotted-path flattening tracks
-//! every metric at every size.
+//! `solver_iterations`, `kernel_residual`, `states_per_sec`
+//! (dense-comparison rows add `dense_ms`, `speedup`, `w_rel_err`) —
+//! so `pwf report`'s dotted-path flattening tracks every metric at
+//! every size.
 
 use std::path::Path;
 use std::time::Instant;
 
 use pwf_core::chain_analysis::{analyze, analyze_scu_large, ChainFamily, LargeScuReport};
-use pwf_markov::ooc::SpilledChain;
-use pwf_markov::operator::{
-    stationary_operator, DenseBlockOperator, TransitionOperator, DEFAULT_BLOCK,
-};
 use pwf_markov::solve::PowerOptions;
 use pwf_runner::json::Json;
 use pwf_runner::{fmt, ExpConfig, ExpResult, FnExperiment, ReportBuilder};
-
-use pwf_algorithms::chains::scu::ScuSystemOperator;
 
 /// The registered experiment.
 pub const EXP: FnExperiment = FnExperiment {
@@ -47,9 +40,6 @@ pub const EXP: FnExperiment = FnExperiment {
 /// states); the full profile times both pipelines up to here, and the
 /// crossover gate is applied at the largest dense size run.
 const DENSE_WALL: usize = 7;
-
-/// Rows kept resident by the out-of-core spill demo.
-const OOC_BATCH_ROWS: usize = 256;
 
 /// One uniform-schema record; `dense` adds the comparison fields.
 fn size_record(
@@ -75,10 +65,6 @@ fn size_record(
     ));
     fields.push(("kernel_residual".into(), Json::Num(report.kernel_residual)));
     fields.push(("states_per_sec".into(), Json::Num(states_per_sec)));
-    fields.push((
-        "resident_rows".into(),
-        Json::Int(ScuSystemOperator::new(n).resident_rows() as i128),
-    ));
     Json::Obj(fields)
 }
 
@@ -175,39 +161,6 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     }
     let large_report = large_report.expect("n = 100 runs in every profile");
 
-    // Cache-blocked dense kernel: densify the implicit operator at the
-    // largest size and compare one apply against the row-scatter path.
-    let op = ScuSystemOperator::new(100);
-    let blocked = DenseBlockOperator::from_operator(&op, DEFAULT_BLOCK);
-    let dist = vec![1.0 / op.len() as f64; op.len()];
-    let mut want = vec![0.0; op.len()];
-    let mut got = vec![0.0; op.len()];
-    let start = Instant::now();
-    op.apply_into(&dist, &mut want);
-    let scatter_ms = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    blocked.apply_into(&dist, &mut got);
-    let blocked_ms = start.elapsed().as_secs_f64() * 1e3;
-    let block_err = want
-        .iter()
-        .zip(&got)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    if block_err > 1e-12 {
-        return Err(format!("dense-block apply diverges: max abs err {block_err:e}").into());
-    }
-
-    // Out-of-core spill: stream the n = 100 operator's rows to a temp
-    // CSR file, re-solve from disk with a bounded row cache, and
-    // require the bit-identical stationary answer.
-    let spilled = SpilledChain::spill(&op, OOC_BATCH_ROWS)
-        .map_err(|e| format!("spilling the n = 100 chain: {e}"))?;
-    let direct = stationary_operator(&op, &opts, None).map_err(|e| e.to_string())?;
-    let from_disk = stationary_operator(&spilled, &opts, None).map_err(|e| e.to_string())?;
-    if direct.pi != from_disk.pi {
-        return Err("out-of-core solve is not bit-identical to the in-memory solve".into());
-    }
-
     let mut fields = vec![
         ("benchmark".into(), Json::Str("pwf-markov".into())),
         ("dense_wall_n".into(), Json::Int(DENSE_WALL as i128)),
@@ -225,29 +178,6 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
         "lifting_kernel_residual".into(),
         Json::Num(large_report.kernel_residual),
     ));
-    fields.push((
-        "dense_block".into(),
-        Json::Obj(vec![
-            ("n".into(), Json::Int(op.len() as i128)),
-            ("block".into(), Json::Int(DEFAULT_BLOCK as i128)),
-            ("blocked_ms".into(), Json::Num(blocked_ms)),
-            ("scatter_ms".into(), Json::Num(scatter_ms)),
-            ("max_abs_err".into(), Json::Num(block_err)),
-        ]),
-    ));
-    fields.push((
-        "out_of_core".into(),
-        Json::Obj(vec![
-            ("n".into(), Json::Int(100)),
-            ("batch_rows".into(), Json::Int(OOC_BATCH_ROWS as i128)),
-            (
-                "resident_rows".into(),
-                Json::Int(spilled.resident_rows() as i128),
-            ),
-            ("nnz".into(), Json::Int(spilled.nnz() as i128)),
-            ("bit_identical".into(), Json::Bool(true)),
-        ]),
-    ));
     fields.push(("sizes".into(), Json::Arr(entries)));
     std::fs::write(Path::new("BENCH_markov.json"), Json::Obj(fields).render())
         .map_err(|e| format!("writing BENCH_markov.json: {e}"))?;
@@ -258,11 +188,6 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
         large_report.n,
         fmt(large_report.kernel_residual),
         large_report.classes
-    ));
-    out.note(&format!(
-        "out-of-core spill at n = 100: {} of {} rows resident, solve bit-identical.",
-        spilled.resident_rows(),
-        op.len()
     ));
 
     if let Some((n, speedup)) = wall_speedup {

@@ -10,7 +10,7 @@
 
 use pwf_algorithms::chains::scu::ScuSystemOperator;
 use pwf_algorithms::chains::{fai, scu};
-use pwf_markov::mixing::{lazy_mixing_time, operator_lazy_mixing_time, sparse_lazy_mixing_time};
+use pwf_markov::mixing::{lazy_mixing_time, operator_lazy_mixing_time};
 use pwf_markov::operator::{stationary_operator, TransitionOperator};
 use pwf_markov::solve::PowerOptions;
 use pwf_markov::sparse::SparseChain;
@@ -35,7 +35,7 @@ fn sparse_t_mix<S: Clone + Eq + Hash>(
     let solve = chain
         .stationary_with(&PowerOptions::new(500_000, 1e-12), None)
         .map_err(|e| e.to_string())?;
-    let report = sparse_lazy_mixing_time(chain, &solve.pi, starts, 0.01, 200_000);
+    let report = operator_lazy_mixing_time(chain, &solve.pi, starts, 0.01, 200_000);
     report.mixing_time.ok_or_else(|| "budget generous".into())
 }
 

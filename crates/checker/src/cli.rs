@@ -1,9 +1,8 @@
 //! The `pwf vet` subcommand: systematic checking of the built-in
-//! targets and schedule replay. `--orderings` survives as a
-//! compatibility alias for the orderings pass of `pwf lint`.
+//! targets and schedule replay.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::explore::{explore, run_schedule, ExploreOptions, Violation, ViolationKind};
 use crate::lin;
@@ -33,14 +32,6 @@ USAGE:
     pwf vet --replay FILE [TARGET]
         Re-execute a schedule file against its target and report the
         outcome. The target comes from the file header unless named.
-
-    pwf vet --orderings [OPTIONS]
-        Compatibility alias for the orderings pass of `pwf lint`:
-        statically lint atomic call sites for memory-ordering issues.
-        --root DIR       sources to scan (default crates/hardware/src)
-        --allowlist FILE fingerprinted allow file (default
-                         crates/hardware/lint.allow)
-        Prefer `pwf lint`, which runs every pass over every crate.
 ";
 
 /// Cap on naive-enumeration executions when measuring the reduction
@@ -62,9 +53,6 @@ struct VetArgs {
     metrics: bool,
     jobs: Option<usize>,
     list: bool,
-    orderings: bool,
-    root: PathBuf,
-    allowlist: PathBuf,
     replay: Option<PathBuf>,
     emit: Option<PathBuf>,
 }
@@ -78,9 +66,6 @@ fn parse_vet_args(argv: Vec<String>) -> Result<VetArgs, String> {
         metrics: false,
         jobs: None,
         list: false,
-        orderings: false,
-        root: PathBuf::from("crates/hardware/src"),
-        allowlist: PathBuf::from("crates/hardware/lint.allow"),
         replay: None,
         emit: None,
     };
@@ -101,9 +86,6 @@ fn parse_vet_args(argv: Vec<String>) -> Result<VetArgs, String> {
                 );
             }
             "--list" => args.list = true,
-            "--orderings" => args.orderings = true,
-            "--root" => args.root = PathBuf::from(value_of("--root")?),
-            "--allowlist" => args.allowlist = PathBuf::from(value_of("--allowlist")?),
             "--replay" => args.replay = Some(PathBuf::from(value_of("--replay")?)),
             "--emit" => args.emit = Some(PathBuf::from(value_of("--emit")?)),
             "--help" | "-h" => return Err(String::new()),
@@ -115,7 +97,7 @@ fn parse_vet_args(argv: Vec<String>) -> Result<VetArgs, String> {
 }
 
 /// Entry point for `pwf vet`. Returns the process exit code: 0 when
-/// every target behaved as expected (and the lint ran clean), 1 on
+/// every target behaved as expected, 1 on
 /// failures, 2 on usage errors.
 pub fn main(argv: Vec<String>) -> i32 {
     let args = match parse_vet_args(argv) {
@@ -139,9 +121,6 @@ pub fn main(argv: Vec<String>) -> i32 {
             println!("{:<22} {:<9} {}", t.name, expect, t.description);
         }
         return 0;
-    }
-    if args.orderings {
-        return cmd_orderings(&args);
     }
     if args.replay.is_some() {
         return cmd_replay(&args);
@@ -423,39 +402,6 @@ fn cmd_replay(args: &VetArgs) -> i32 {
     0
 }
 
-/// `pwf vet --orderings`: thin alias over the orderings pass of
-/// `pwf lint`, kept so existing scripts and muscle memory survive the
-/// lint's move into its own crate. Pass-aware staleness in pwf-lint
-/// means progress/condvar/unsafe entries in the allow file are not
-/// reported stale by this orderings-only run.
-fn cmd_orderings(args: &VetArgs) -> i32 {
-    let name = args.root.parent().and_then(Path::file_name).map_or_else(
-        || args.root.display().to_string(),
-        |n| n.to_string_lossy().into_owned(),
-    );
-    let report = match pwf_lint::lint_tree(
-        Path::new("."),
-        &args.root,
-        Some(&args.allowlist),
-        &name,
-        &[pwf_lint::Pass::Orderings],
-    ) {
-        Ok(r) => r,
-        Err(err) => {
-            eprintln!("error: scanning {}: {err}", args.root.display());
-            return 1;
-        }
-    };
-    let clean = report.clean();
-    let ws = pwf_lint::WorkspaceReport {
-        root: ".".to_string(),
-        passes: vec!["orderings"],
-        crates: vec![report],
-    };
-    print!("{}", ws.render_text(true));
-    i32::from(!clean)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,26 +412,17 @@ mod tests {
 
     #[test]
     fn parse_recognises_flags() {
-        let args = parse_vet_args(argv(&[
-            "counter",
-            "--fast",
-            "--no-prune",
-            "--emit",
-            "out",
-            "--allowlist",
-            "a.allow",
-        ]))
-        .unwrap();
+        let args =
+            parse_vet_args(argv(&["counter", "--fast", "--no-prune", "--emit", "out"])).unwrap();
         assert_eq!(args.names, vec!["counter"]);
         assert!(args.fast && args.no_prune);
         assert_eq!(args.emit.as_deref(), Some(std::path::Path::new("out")));
-        assert_eq!(args.allowlist.as_path(), std::path::Path::new("a.allow"));
     }
 
     #[test]
     fn parse_rejects_unknown_flags() {
         assert!(parse_vet_args(argv(&["--bogus"])).is_err());
-        assert!(parse_vet_args(argv(&["--root"])).is_err());
+        assert!(parse_vet_args(argv(&["--emit"])).is_err());
     }
 
     #[test]

@@ -27,10 +27,9 @@
 //!   catch;
 //! * [`cli`] — the `pwf vet` front end.
 //!
-//! The static atomics-ordering lint that used to live here has grown
-//! into the standalone `pwf-lint` crate (`pwf lint`), which scans the
-//! whole workspace; `pwf vet --orderings` remains as a compatibility
-//! alias for its orderings pass.
+//! The static atomics-ordering lint lives in the standalone
+//! `pwf-lint` crate (`pwf lint`), which scans the whole workspace;
+//! `pwf lint --pass orderings` runs its orderings pass alone.
 
 pub mod audit;
 pub mod cache;

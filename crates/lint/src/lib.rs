@@ -28,8 +28,7 @@
 //! * [`report`] — deny-by-default verdicts per crate and workspace,
 //!   rendered as clickable text or the schema-pinned `--json`
 //!   document;
-//! * [`cli`] — the `pwf lint` front end (`pwf vet --orderings`
-//!   remains as a compatibility alias in pwf-checker).
+//! * [`cli`] — the `pwf lint` front end.
 //!
 //! Every rule ships with a seeded-mutant fixture corpus under
 //! `tests/fixtures/` that the pass MUST flag, mirroring `pwf vet`'s

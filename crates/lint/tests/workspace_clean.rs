@@ -36,10 +36,11 @@ fn shipped_workspace_lints_clean_under_all_passes() {
 }
 
 #[test]
-fn orderings_alias_subset_is_clean_and_ignores_other_passes_entries() {
-    // `pwf vet --orderings` runs only the orderings pass against
-    // crates/hardware; pass-aware staleness must keep the progress
-    // entry in hardware's lint.allow from reading as stale.
+fn orderings_pass_subset_is_clean_and_ignores_other_passes_entries() {
+    // `pwf lint --pass orderings --crate hardware` runs only the
+    // orderings pass against crates/hardware; pass-aware staleness
+    // must keep the progress entry in hardware's lint.allow from
+    // reading as stale.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
@@ -54,7 +55,7 @@ fn orderings_alias_subset_is_clean_and_ignores_other_passes_entries() {
     .expect("hardware scan succeeds");
     assert!(
         report.clean(),
-        "orderings alias is dirty: {} violations, {} stale",
+        "orderings pass is dirty: {} violations, {} stale",
         report.violations.len(),
         report.stale.len()
     );

@@ -174,11 +174,6 @@ impl<S: Clone + Eq + Hash> MarkovChain<S> {
         self.transition[(i, j)]
     }
 
-    /// A view of the full transition matrix.
-    pub fn transition_matrix(&self) -> &Matrix {
-        &self.transition
-    }
-
     /// Applies one step of the chain to a distribution (`q ↦ q·P`).
     ///
     /// # Panics
@@ -416,7 +411,7 @@ mod tests {
 
     #[test]
     fn duplicate_states_rejected() {
-        let m = Matrix::identity(2);
+        let m = Matrix::zeros(2, 2);
         let err = MarkovChain::from_matrix(vec!["a", "a"], m).unwrap_err();
         assert_eq!(err, ChainError::DuplicateState);
     }

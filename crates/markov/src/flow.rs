@@ -88,37 +88,6 @@ impl ErgodicFlow {
     }
 }
 
-/// Maximum violation of the flow conservation identities
-/// `Σ_i Q_ij = Σ_i Q_ji = π_j` for a sparse chain, with the flow
-/// `Q_ij = π_i p_ij` computed on the fly (`O(nnz)`, nothing
-/// materialized).
-///
-/// # Panics
-///
-/// Panics if `pi.len() != chain.len()`.
-pub fn sparse_conservation_residual<S: Clone + Eq + Hash>(
-    chain: &crate::sparse::SparseChain<S>,
-    pi: &[f64],
-) -> f64 {
-    let n = chain.len();
-    assert_eq!(pi.len(), n, "distribution length must match chain");
-    let mut inflow = vec![0.0; n];
-    let mut worst: f64 = 0.0;
-    for (i, &pi_i) in pi.iter().enumerate() {
-        let mut out = 0.0;
-        for (j, p) in chain.row(i) {
-            let q = pi_i * p;
-            inflow[j as usize] += q;
-            out += q;
-        }
-        worst = worst.max((out - pi_i).abs());
-    }
-    for (inf, &p) in inflow.iter().zip(pi) {
-        worst = worst.max((inf - p).abs());
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,17 +137,5 @@ mod tests {
             .build()
             .unwrap();
         assert!(ErgodicFlow::compute(&c).is_err());
-    }
-
-    #[test]
-    fn sparse_conservation_matches_dense() {
-        let c = asymmetric_chain();
-        let f = ErgodicFlow::compute(&c).unwrap();
-        let sparse = c.to_sparse();
-        let r = sparse_conservation_residual(&sparse, f.stationary());
-        assert!(r < 1e-12, "residual {r}");
-        // A wrong distribution must show a large residual.
-        let bad = sparse_conservation_residual(&sparse, &[0.5, 0.25, 0.25]);
-        assert!(bad > 1e-3);
     }
 }

@@ -26,12 +26,9 @@
 //! [`sparse::SparseChain`] implements the trait by delegating to its
 //! own kernels, so operator solves on a stored chain are bit-identical
 //! to the historical sparse paths and the sparse engine remains the
-//! small-`n` oracle for implicit operators; chains past RAM stream
-//! through the out-of-core spill ([`ooc::SpilledChain`]), and dense
-//! sub-blocks that survive symmetry reduction get the cache-blocked
-//! kernel ([`operator::DenseBlockOperator`]). Lifting claims are
-//! verified row-by-row ([`lifting::verify_lifting_sparse`],
-//! [`lifting::kernel_residual_sparse`]) or matrix-free from
+//! small-`n` oracle for implicit operators. Lifting claims are
+//! verified row-by-row on stored chains
+//! ([`lifting::kernel_residual_sparse`]) or matrix-free from
 //! combinatorially enumerated orbit representatives
 //! ([`lifting::RowResidualScratch`]). The dense
 //! [`chain::MarkovChain`] with direct `O(n³)` solves ([`linalg`]) is
@@ -66,7 +63,6 @@ pub mod hitting;
 pub mod lifting;
 pub mod linalg;
 pub mod mixing;
-pub mod ooc;
 pub mod operator;
 pub mod solve;
 pub mod sparse;
@@ -74,20 +70,15 @@ pub mod stationary;
 pub mod structure;
 
 pub use chain::{ChainBuilder, ChainError, MarkovChain};
-pub use flow::{sparse_conservation_residual, ErgodicFlow};
+pub use flow::ErgodicFlow;
 pub use hitting::{hitting_times, operator_hitting_times, return_time, sparse_hitting_times};
 pub use lifting::{
-    kernel_residual_sparse, verify_lifting, verify_lifting_sparse, LiftingError, LiftingReport,
-    RowResidualScratch,
+    kernel_residual_sparse, verify_lifting, LiftingError, LiftingReport, RowResidualScratch,
 };
 pub use linalg::{LinalgError, Matrix};
-pub use mixing::{
-    lazy_mixing_time, operator_lazy_mixing_time, sparse_lazy_mixing_time, total_variation,
-    MixingReport,
-};
-pub use ooc::SpilledChain;
-pub use operator::{stationary_operator, DenseBlockOperator, TransitionOperator};
+pub use mixing::{lazy_mixing_time, operator_lazy_mixing_time, total_variation, MixingReport};
+pub use operator::{stationary_operator, TransitionOperator};
 pub use solve::{GaussSeidelOptions, PowerOptions, SolveStats};
 pub use sparse::{SparseChain, SparseChainBuilder, StationarySolve};
 pub use stationary::{return_times, stationary_distribution, StationaryError};
-pub use structure::{analyze, analyze_sparse, is_ergodic, Adjacency, StructureReport};
+pub use structure::{analyze, is_ergodic, Adjacency, StructureReport};

@@ -19,12 +19,9 @@
 use std::fmt;
 use std::hash::Hash;
 
-use pwf_obs::Metrics;
-
 use crate::chain::MarkovChain;
 use crate::flow::ErgodicFlow;
 use crate::operator::TransitionOperator;
-use crate::solve::PowerOptions;
 use crate::sparse::SparseChain;
 use crate::stationary::StationaryError;
 
@@ -208,91 +205,6 @@ fn image_map<S2, S1>(
     Ok(image)
 }
 
-/// Verifies the lifting on sparse chains, row by row: stationary
-/// distributions come from the lazy power-iteration solver (under
-/// `opts`, publishing `markov.stationary.*` metrics when given), and
-/// the lifted ergodic flow is aggregated one CSR row at a time into a
-/// base-sized accumulator — `O(nnz)` flow work and `O(base²)` memory,
-/// never `O(lifted²)`.
-///
-/// # Errors
-///
-/// Same failure cases as [`verify_lifting`], plus solver
-/// non-convergence surfaced as [`LiftingError::Stationary`].
-pub fn verify_lifting_sparse<S2, S1>(
-    lifted: &SparseChain<S2>,
-    base: &SparseChain<S1>,
-    f: impl Fn(&S2) -> S1,
-    tol: f64,
-    opts: &PowerOptions,
-    metrics: Option<&Metrics>,
-) -> Result<LiftingReport, LiftingError>
-where
-    S2: Clone + Eq + Hash,
-    S1: Clone + Eq + Hash,
-{
-    let nb = base.len();
-    let image = image_map(lifted.states(), |s| base.state_index(s), nb, f)?;
-
-    let pi_lifted = lifted.stationary_with(opts, metrics)?.pi;
-    let pi_base = base.stationary_with(opts, metrics)?.pi;
-
-    // Aggregate the lifted flow through f, one sparse row at a time.
-    let mut agg = vec![0.0; nb * nb];
-    for (x, &ix) in image.iter().enumerate() {
-        let pi_x = pi_lifted[x];
-        if pi_x == 0.0 {
-            continue;
-        }
-        for (y, p) in lifted.row(x) {
-            agg[ix * nb + image[y as usize]] += pi_x * p;
-        }
-    }
-    // Base flow, densified into the same shape (base is small).
-    let mut base_q = vec![0.0; nb * nb];
-    for (i, &pi_i) in pi_base.iter().enumerate() {
-        for (j, p) in base.row(i) {
-            base_q[i * nb + j as usize] += pi_i * p;
-        }
-    }
-
-    let mut worst_flow: f64 = 0.0;
-    for i in 0..nb {
-        for j in 0..nb {
-            let lifted_q = agg[i * nb + j];
-            let bq = base_q[i * nb + j];
-            let diff = (lifted_q - bq).abs();
-            if diff > tol {
-                return Err(LiftingError::FlowMismatch {
-                    from: i,
-                    to: j,
-                    base_flow: bq,
-                    lifted_flow: lifted_q,
-                });
-            }
-            worst_flow = worst_flow.max(diff);
-        }
-    }
-
-    // Lemma 1: stationary collapse.
-    let mut collapsed = vec![0.0; nb];
-    for (x, &i) in image.iter().enumerate() {
-        collapsed[i] += pi_lifted[x];
-    }
-    let worst_pi = collapsed
-        .iter()
-        .zip(&pi_base)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max);
-
-    Ok(LiftingReport {
-        flow_residual: worst_flow,
-        stationary_residual: worst_pi,
-        lifted_states: lifted.len(),
-        base_states: nb,
-    })
-}
-
 /// Maximum violation of *strong lumpability* (the kernel-level lifting
 /// condition): for every lifted state `x` and base state `j`,
 ///
@@ -425,43 +337,6 @@ impl RowResidualScratch {
     }
 }
 
-/// Collapses a distribution on the lifted chain's states through `f`
-/// into a distribution on the base chain's states (the operation of
-/// Lemma 1 applied to an arbitrary state vector).
-///
-/// # Errors
-///
-/// Returns [`LiftingError::UnmappedState`] if `f` maps a lifted state
-/// outside the base chain.
-///
-/// # Panics
-///
-/// Panics if `dist.len() != lifted.len()`.
-pub fn collapse_distribution<S2, S1>(
-    lifted: &MarkovChain<S2>,
-    base: &MarkovChain<S1>,
-    f: impl Fn(&S2) -> S1,
-    dist: &[f64],
-) -> Result<Vec<f64>, LiftingError>
-where
-    S2: Clone + Eq + Hash,
-    S1: Clone + Eq + Hash,
-{
-    assert_eq!(
-        dist.len(),
-        lifted.len(),
-        "distribution must match lifted chain"
-    );
-    let mut out = vec![0.0; base.len()];
-    for (x, label) in lifted.states().iter().enumerate() {
-        let i = base
-            .state_index(&f(label))
-            .ok_or(LiftingError::UnmappedState { lifted_index: x })?;
-        out[i] += dist[x];
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,48 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_verification_matches_dense() {
-        let (lifted, base) = lifted_pair();
-        let dense_report = verify_lifting(&lifted, &base, |&s| s % 2, 1e-9).unwrap();
-        let report = verify_lifting_sparse(
-            &lifted.to_sparse(),
-            &base.to_sparse(),
-            |&s| s % 2,
-            1e-9,
-            &PowerOptions::new(200_000, 1e-12),
-            None,
-        )
-        .unwrap();
-        assert_eq!(report.lifted_states, dense_report.lifted_states);
-        assert_eq!(report.base_states, dense_report.base_states);
-        assert!(report.flow_residual < 1e-9);
-        assert!(report.stationary_residual < 1e-9);
-    }
-
-    #[test]
-    fn sparse_verification_rejects_wrong_base() {
-        let (lifted, _) = lifted_pair();
-        let wrong = ChainBuilder::new()
-            .transition(0u8, 1, 0.9)
-            .transition(0, 0, 0.1)
-            .transition(1, 0, 0.9)
-            .transition(1, 1, 0.1)
-            .build()
-            .unwrap();
-        assert!(matches!(
-            verify_lifting_sparse(
-                &lifted.to_sparse(),
-                &wrong.to_sparse(),
-                |&s| s % 2,
-                1e-9,
-                &PowerOptions::default(),
-                None,
-            ),
-            Err(LiftingError::FlowMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn kernel_residual_is_zero_for_lumpable_lifting() {
         let (lifted, base) = lifted_pair();
         let r = kernel_residual_sparse(&lifted.to_sparse(), &base.to_sparse(), |&s| s % 2).unwrap();
@@ -667,14 +500,5 @@ mod tests {
         // …and one that is, with duplicate targets summed: residual 0.
         let r0 = scratch.residual(&skew, 0, &[(1, 0.45), (0, 0.1), (1, 0.45)]);
         assert_eq!(r0, 0.0);
-    }
-
-    #[test]
-    fn collapse_distribution_preserves_mass() {
-        let (lifted, base) = lifted_pair();
-        // Builder state order is first-appearance: [0, 1, 3, 2].
-        let d = collapse_distribution(&lifted, &base, |&s| s % 2, &[0.1, 0.2, 0.3, 0.4]).unwrap();
-        assert!((d[0] - 0.5).abs() < 1e-12);
-        assert!((d[1] - 0.5).abs() < 1e-12);
     }
 }

@@ -57,30 +57,6 @@ impl Matrix {
         }
     }
 
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Creates a matrix from a row-major vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "data length {} does not match {rows}x{cols}",
-            data.len()
-        );
-        Matrix { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -101,39 +77,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutable access to row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Returns the transpose.
-    pub fn transposed(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
-
-    /// Computes the matrix-vector product `self * v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != cols`.
-    pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "vector length must equal column count");
-        (0..self.rows)
-            .map(|i| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect()
-    }
-
     /// Computes the vector-matrix product `v * self` (row vector times
     /// matrix), the natural operation for distributions over states.
     ///
@@ -149,31 +92,6 @@ impl Matrix {
             }
             for (j, &pij) in self.row(i).iter().enumerate() {
                 out[j] += vi * pij;
-            }
-        }
-        out
-    }
-
-    /// Computes the matrix product `self * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.rows`.
-    pub fn mul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "inner dimensions must agree for matrix product"
-        );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += aik * other[(k, j)];
-                }
             }
         }
         out
@@ -277,27 +195,21 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
     Ok(x)
 }
 
-/// Maximum absolute component of `a·x − b`; a cheap a-posteriori check
-/// on solver output.
-///
-/// # Panics
-///
-/// Panics if shapes are incompatible.
-pub fn residual_inf_norm(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
-    let ax = a.mul_vec(x);
-    ax.iter()
-        .zip(b)
-        .map(|(l, r)| (l - r).abs())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn from_rows(rows: usize, cols: usize, data: &[f64]) -> Matrix {
+        let mut m = Matrix::zeros(rows, cols);
+        for (k, &v) in data.iter().enumerate() {
+            m[(k / cols, k % cols)] = v;
+        }
+        m
+    }
+
     #[test]
     fn identity_solve_returns_rhs() {
-        let a = Matrix::identity(3);
+        let a = from_rows(3, 3, &[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
         let b = vec![1.0, -2.0, 3.5];
         let x = solve(&a, &b).unwrap();
         assert_eq!(x, b);
@@ -306,7 +218,7 @@ mod tests {
     #[test]
     fn solves_known_system() {
         // 2x + y = 5 ; x + 3y = 10  =>  x = 1, y = 3
-        let a = Matrix::from_rows(2, 2, vec![2.0, 1.0, 1.0, 3.0]);
+        let a = from_rows(2, 2, &[2.0, 1.0, 1.0, 3.0]);
         let b = vec![5.0, 10.0];
         let x = solve(&a, &b).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
@@ -315,7 +227,7 @@ mod tests {
 
     #[test]
     fn singular_matrix_is_reported() {
-        let a = Matrix::from_rows(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
+        let a = from_rows(2, 2, &[1.0, 2.0, 2.0, 4.0]);
         let b = vec![1.0, 2.0];
         assert_eq!(solve(&a, &b), Err(LinalgError::Singular));
     }
@@ -327,7 +239,7 @@ mod tests {
             solve(&a, &[1.0, 2.0]),
             Err(LinalgError::ShapeMismatch { .. })
         ));
-        let sq = Matrix::identity(2);
+        let sq = from_rows(2, 2, &[1.0, 0.0, 0.0, 1.0]);
         assert!(matches!(
             solve(&sq, &[1.0]),
             Err(LinalgError::ShapeMismatch { .. })
@@ -337,7 +249,7 @@ mod tests {
     #[test]
     fn pivoting_handles_zero_leading_entry() {
         // Leading zero forces a row swap.
-        let a = Matrix::from_rows(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
+        let a = from_rows(2, 2, &[0.0, 1.0, 1.0, 0.0]);
         let b = vec![2.0, 3.0];
         let x = solve(&a, &b).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-12);
@@ -345,33 +257,14 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_and_vec_mul_agree_with_transpose() {
-        let a = Matrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let v = vec![1.0, -1.0];
-        let left = a.vec_mul(&v);
-        let right = a.transposed().mul_vec(&v);
-        for (l, r) in left.iter().zip(&right) {
-            assert!((l - r).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn matrix_product_matches_manual() {
-        let a = Matrix::from_rows(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let b = Matrix::from_rows(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
-        let c = a.mul(&b);
-        assert_eq!(c[(0, 0)], 2.0);
-        assert_eq!(c[(0, 1)], 1.0);
-        assert_eq!(c[(1, 0)], 4.0);
-        assert_eq!(c[(1, 1)], 3.0);
-    }
-
-    #[test]
     fn residual_of_exact_solution_is_tiny() {
-        let a = Matrix::from_rows(3, 3, vec![4.0, 1.0, 0.0, 1.0, 3.0, 1.0, 0.0, 1.0, 2.0]);
+        let a = from_rows(3, 3, &[4.0, 1.0, 0.0, 1.0, 3.0, 1.0, 0.0, 1.0, 2.0]);
         let b = vec![1.0, 2.0, 3.0];
         let x = solve(&a, &b).unwrap();
-        assert!(residual_inf_norm(&a, &x, &b) < 1e-10);
+        for (i, bi) in b.iter().enumerate() {
+            let ax: f64 = (0..3).map(|j| a[(i, j)] * x[j]).sum();
+            assert!((ax - bi).abs() < 1e-10);
+        }
     }
 
     #[test]

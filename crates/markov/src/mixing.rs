@@ -10,7 +10,6 @@ use std::hash::Hash;
 
 use crate::chain::MarkovChain;
 use crate::operator::TransitionOperator;
-use crate::sparse::SparseChain;
 use crate::stationary::{stationary_distribution, StationaryError};
 
 /// Total-variation distance `½‖p − q‖₁` between two distributions.
@@ -98,31 +97,12 @@ pub fn lazy_mixing_time<S: Clone + Eq + Hash>(
     })
 }
 
-/// Measures the ε-mixing time of the lazy version of a sparse chain
-/// from the worst of the provided start states, against a
-/// caller-supplied stationary distribution `pi` (so one solve can be
-/// shared across calls). Each step is `O(nnz)`.
-///
-/// # Panics
-///
-/// Panics if `starts` is empty, any start is out of bounds,
-/// `epsilon <= 0`, or `pi.len() != chain.len()`.
-pub fn sparse_lazy_mixing_time<S: Clone + Eq + Hash>(
-    chain: &SparseChain<S>,
-    pi: &[f64],
-    starts: &[usize],
-    epsilon: f64,
-    max_steps: usize,
-) -> MixingReport {
-    operator_lazy_mixing_time(chain, pi, starts, epsilon, max_steps)
-}
-
 /// Measures the ε-mixing time of the lazy version of any
-/// [`TransitionOperator`] from the worst of the provided start states
-/// — the matrix-free core behind [`sparse_lazy_mixing_time`], which
-/// for a CSR chain steps the identical float schedule. Each step is
-/// one operator application (`O(nnz)` work, rows generated on the
-/// fly).
+/// [`TransitionOperator`] (a stored [`crate::sparse::SparseChain`] or
+/// an implicit operator) from the worst of the provided start states,
+/// against a caller-supplied stationary distribution `pi` (so one
+/// solve can be shared across calls). Each step is one operator
+/// application (`O(nnz)` work, rows generated on the fly).
 ///
 /// # Panics
 ///
@@ -251,7 +231,7 @@ mod tests {
             .stationary_with(&PowerOptions::new(200_000, 1e-13), None)
             .unwrap()
             .pi;
-        let s = sparse_lazy_mixing_time(&sparse, &pi, &[0, 1], 0.01, 10_000);
+        let s = operator_lazy_mixing_time(&sparse, &pi, &[0, 1], 0.01, 10_000);
         assert_eq!(d.mixing_time, s.mixing_time);
         assert!((d.final_distance - s.final_distance).abs() < 1e-9);
     }

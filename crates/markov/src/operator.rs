@@ -18,12 +18,6 @@
 //! `SparseChain` performs the identical float operations in the
 //! identical order as the historical CSR solve, so the sparse engine
 //! remains the drop-in oracle for implicit operators.
-//!
-//! [`DenseBlockOperator`] is the cache-blocked dense kernel for small
-//! sub-blocks that survive symmetry reduction: tiles of `B × B` stored
-//! contiguously so the `y = x·P` sweep streams each tile once. Its
-//! accumulation order differs from the CSR kernel, so it is compared
-//! by tolerance, never byte-for-byte.
 
 use std::time::Instant;
 
@@ -86,14 +80,6 @@ pub trait TransitionOperator {
             }
         }
     }
-
-    /// Upper bound on the number of matrix rows the operator keeps
-    /// resident in memory at any moment: `len()` for stored
-    /// representations (CSR, dense), the batch size for out-of-core
-    /// streaming, `1` for purely generated rows. Reported by
-    /// `exp_markov_bench` as the memory half of the matrix-free
-    /// trade-off.
-    fn resident_rows(&self) -> usize;
 }
 
 /// Stationary distribution of any [`TransitionOperator`] by lazy power
@@ -173,123 +159,6 @@ pub fn stationary_operator<O: TransitionOperator + ?Sized>(
     })
 }
 
-/// Default tile edge for [`DenseBlockOperator`]: 64 × 64 tiles of
-/// `f64` are 32 KiB — half a typical L1d — so one input tile row and
-/// one output slice stay cache-resident through the inner loop.
-pub const DEFAULT_BLOCK: usize = 64;
-
-/// A dense transition matrix stored in contiguous `B × B` tiles, with
-/// a cache-blocked `y = x·P` kernel.
-///
-/// This is the kernel for the dense sub-blocks that survive symmetry
-/// reduction: small enough to store (`O(n²)` memory — keep `n` in the
-/// thousands), hot enough that the row-major scatter's column-strided
-/// writes dominate. Tiling makes every inner loop a unit-stride
-/// multiply-accumulate over one resident tile.
-///
-/// The accumulation order differs from the CSR scatter, so results
-/// agree with [`crate::sparse::SparseChain`] to rounding, not
-/// bitwise.
-#[derive(Debug, Clone)]
-pub struct DenseBlockOperator {
-    n: usize,
-    block: usize,
-    /// Tiles per dimension: `ceil(n / block)`.
-    nb: usize,
-    /// Tile `(ib, jb)` starts at `(ib·nb + jb)·block²`, row-major
-    /// inside the tile, zero-padded at the fringe.
-    tiles: Vec<f64>,
-}
-
-impl DenseBlockOperator {
-    /// Densifies any operator into tiled form with the given tile
-    /// edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block == 0` or the operator is empty.
-    pub fn from_operator<O: TransitionOperator + ?Sized>(op: &O, block: usize) -> Self {
-        assert!(block > 0, "tile edge must be positive");
-        let n = op.len();
-        assert!(n > 0, "cannot densify an empty operator");
-        let nb = n.div_ceil(block);
-        let mut tiles = vec![0.0; nb * nb * block * block];
-        let mut row = Vec::new();
-        for i in 0..n {
-            op.row_into(i, &mut row);
-            let (ib, r) = (i / block, i % block);
-            for &(j, p) in &row {
-                let (jb, c) = (j as usize / block, j as usize % block);
-                tiles[(ib * nb + jb) * block * block + r * block + c] = p;
-            }
-        }
-        DenseBlockOperator {
-            n,
-            block,
-            nb,
-            tiles,
-        }
-    }
-
-    /// The tile edge in use.
-    pub fn block(&self) -> usize {
-        self.block
-    }
-}
-
-impl TransitionOperator for DenseBlockOperator {
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn row_into(&self, i: usize, row: &mut Vec<(u32, f64)>) {
-        assert!(i < self.n, "row {i} out of bounds ({})", self.n);
-        row.clear();
-        let b = self.block;
-        let (ib, r) = (i / b, i % b);
-        for jb in 0..self.nb {
-            let tile = &self.tiles[(ib * self.nb + jb) * b * b..][r * b..r * b + b];
-            let col_base = jb * b;
-            for (c, &p) in tile.iter().enumerate() {
-                if p != 0.0 && col_base + c < self.n {
-                    row.push(((col_base + c) as u32, p));
-                }
-            }
-        }
-    }
-
-    fn apply_into(&self, dist: &[f64], out: &mut [f64]) {
-        assert_eq!(dist.len(), self.n, "distribution length mismatch");
-        assert_eq!(out.len(), self.n, "output length mismatch");
-        out.fill(0.0);
-        let b = self.block;
-        for ib in 0..self.nb {
-            let row_base = ib * b;
-            let rows = b.min(self.n - row_base);
-            for jb in 0..self.nb {
-                let col_base = jb * b;
-                let cols = b.min(self.n - col_base);
-                let tile = &self.tiles[(ib * self.nb + jb) * b * b..][..b * b];
-                let orow = &mut out[col_base..col_base + cols];
-                for r in 0..rows {
-                    let qi = dist[row_base + r];
-                    if qi == 0.0 {
-                        continue;
-                    }
-                    let trow = &tile[r * b..r * b + cols];
-                    for (o, &t) in orow.iter_mut().zip(trow) {
-                        *o += qi * t;
-                    }
-                }
-            }
-        }
-    }
-
-    fn resident_rows(&self) -> usize {
-        self.n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,9 +200,6 @@ mod tests {
                 row.clear();
                 row.extend(self.0.row(i));
             }
-            fn resident_rows(&self) -> usize {
-                1
-            }
         }
         let c = ring(53);
         let dist: Vec<f64> = (0..c.len()).map(|i| (i % 7) as f64 / 159.0).collect();
@@ -353,66 +219,5 @@ mod tests {
         assert_eq!(direct.pi, via_op.pi);
         assert_eq!(direct.stats.iterations, via_op.stats.iterations);
         assert_eq!(direct.stats.residual, via_op.stats.residual);
-    }
-
-    #[test]
-    fn dense_block_operator_matches_sparse_apply_to_rounding() {
-        let c = ring(97);
-        for block in [4usize, 16, 64, 128] {
-            let d = DenseBlockOperator::from_operator(&c, block);
-            assert_eq!(d.len(), c.len());
-            assert_eq!(d.block(), block);
-            let dist: Vec<f64> = (0..c.len()).map(|i| (i % 3) as f64 / 97.0).collect();
-            let mut want = vec![0.0; c.len()];
-            let mut got = vec![0.0; c.len()];
-            c.step_into(&dist, &mut want);
-            d.apply_into(&dist, &mut got);
-            for (i, (a, b)) in want.iter().zip(&got).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-14,
-                    "block {block}, state {i}: {a} vs {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dense_block_rows_reproduce_csr_rows() {
-        let c = ring(41);
-        let d = DenseBlockOperator::from_operator(&c, 8);
-        let mut got = Vec::new();
-        for i in 0..c.len() {
-            d.row_into(i, &mut got);
-            let want: Vec<(u32, f64)> = c.row(i).collect();
-            assert_eq!(got, want, "row {i}");
-        }
-    }
-
-    #[test]
-    fn dense_block_stationary_agrees_with_sparse_to_tolerance() {
-        let c = ring(50);
-        let opts = PowerOptions::new(200_000, 1e-12);
-        let pi_csr = c.stationary_with(&opts, None).unwrap().pi;
-        let d = DenseBlockOperator::from_operator(&c, DEFAULT_BLOCK);
-        let pi_blk = stationary_operator(&d, &opts, None).unwrap().pi;
-        for (a, b) in pi_csr.iter().zip(&pi_blk) {
-            assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn resident_rows_reflect_representation() {
-        let c = ring(10);
-        assert_eq!(TransitionOperator::resident_rows(&c), 10);
-        let d = DenseBlockOperator::from_operator(&c, 4);
-        assert_eq!(d.resident_rows(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn dense_block_row_out_of_bounds_panics() {
-        let d = DenseBlockOperator::from_operator(&ring(5), 4);
-        let mut row = Vec::new();
-        d.row_into(5, &mut row);
     }
 }

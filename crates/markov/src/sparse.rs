@@ -262,10 +262,6 @@ impl<S: Clone + Eq + Hash> TransitionOperator for SparseChain<S> {
     fn apply_into(&self, dist: &[f64], out: &mut [f64]) {
         self.step_into(dist, out);
     }
-
-    fn resident_rows(&self) -> usize {
-        SparseChain::len(self)
-    }
 }
 
 /// Incremental builder for [`SparseChain`].

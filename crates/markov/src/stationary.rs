@@ -106,47 +106,6 @@ pub fn stationary_distribution<S: Clone + Eq + Hash>(
     Ok(pi)
 }
 
-/// Computes the stationary distribution by power iteration from the
-/// uniform distribution, averaging consecutive iterates so periodic
-/// chains' Cesàro limits also converge. Primarily a cross-check for
-/// [`stationary_distribution`].
-///
-/// # Errors
-///
-/// Returns [`StationaryError::NotConverged`] if the L1 change between
-/// successive (averaged) iterates stays above `tol` for `max_iters`
-/// steps.
-pub fn stationary_by_power_iteration<S: Clone + Eq + Hash>(
-    chain: &MarkovChain<S>,
-    max_iters: usize,
-    tol: f64,
-) -> Result<Vec<f64>, StationaryError> {
-    let n = chain.len();
-    let mut dist = vec![1.0 / n as f64; n];
-    let mut delta = f64::INFINITY;
-    for _ in 0..max_iters {
-        let stepped = chain.step_distribution(&dist);
-        // Lazy averaging: converges for ergodic chains and damps
-        // oscillation on nearly-periodic ones.
-        let next: Vec<f64> = dist
-            .iter()
-            .zip(&stepped)
-            .map(|(a, b)| 0.5 * a + 0.5 * b)
-            .collect();
-        delta = next.iter().zip(&dist).map(|(a, b)| (a - b).abs()).sum();
-        dist = next;
-        if delta < tol {
-            return Ok(dist);
-        }
-    }
-    // `delta` is the last observed change (infinite only if
-    // `max_iters == 0`).
-    Err(StationaryError::NotConverged {
-        iterations: max_iters,
-        delta,
-    })
-}
-
 /// Expected return times `h_jj = 1 / π_j` for every state (Theorem 1).
 ///
 /// # Errors
@@ -206,16 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn power_iteration_agrees_with_direct_solve() {
-        let c = biased_two_state();
-        let direct = stationary_distribution(&c).unwrap();
-        let power = stationary_by_power_iteration(&c, 10_000, 1e-13).unwrap();
-        for (d, p) in direct.iter().zip(&power) {
-            assert!((d - p).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn return_times_are_reciprocal_probabilities() {
         let c = biased_two_state();
         let h = return_times(&c).unwrap();
@@ -250,41 +199,6 @@ mod tests {
             stationary_distribution(&c).unwrap_err(),
             StationaryError::NotIrreducible
         );
-    }
-
-    #[test]
-    fn periodic_chain_power_iteration_converges_via_averaging() {
-        // Pure 2-cycle: period 2, but lazy averaging converges to the
-        // Cesàro limit (1/2, 1/2), which is also the stationary vector.
-        let c = ChainBuilder::new()
-            .transition(0, 1, 1.0)
-            .transition(1, 0, 1.0)
-            .build()
-            .unwrap();
-        let pi = stationary_by_power_iteration(&c, 10_000, 1e-12).unwrap();
-        assert!((pi[0] - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn exhausted_budget_reports_last_delta() {
-        // Sticky chain far from uniform start: cannot converge to
-        // 1e-15 in 3 steps, and the error must carry the finite delta
-        // actually observed on the last iteration.
-        let c = ChainBuilder::new()
-            .transition(0, 0, 0.999)
-            .transition(0, 1, 0.001)
-            .transition(1, 1, 0.5)
-            .transition(1, 0, 0.5)
-            .build()
-            .unwrap();
-        let err = stationary_by_power_iteration(&c, 3, 1e-15).unwrap_err();
-        match err {
-            StationaryError::NotConverged { iterations, delta } => {
-                assert_eq!(iterations, 3);
-                assert!(delta.is_finite() && delta > 0.0);
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
     }
 
     #[test]

@@ -250,22 +250,6 @@ pub fn is_irreducible_sparse<S: Clone + Eq + Hash>(chain: &SparseChain<S>) -> bo
     Adjacency::from_sparse(chain).is_strongly_connected()
 }
 
-/// [`period`] for sparse chains.
-pub fn period_sparse<S: Clone + Eq + Hash>(chain: &SparseChain<S>) -> usize {
-    Adjacency::from_sparse(chain).period()
-}
-
-/// [`has_self_loop`] for sparse chains.
-pub fn has_self_loop_sparse<S: Clone + Eq + Hash>(chain: &SparseChain<S>) -> bool {
-    (0..chain.len()).any(|i| chain.row(i).any(|(j, p)| j as usize == i && p > 0.0))
-}
-
-/// [`analyze`] for sparse chains: one `O(nnz)` adjacency extraction
-/// shared between both traversals.
-pub fn analyze_sparse<S: Clone + Eq + Hash>(chain: &SparseChain<S>) -> StructureReport {
-    Adjacency::from_sparse(chain).report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,21 +366,8 @@ mod tests {
             b.transition(i, (i + 1) % 3, 1.0);
         }
         let sparse = b.build().unwrap();
-        assert_eq!(analyze_sparse(&sparse), analyze(&dense));
+        assert_eq!(Adjacency::from_sparse(&sparse).report(), analyze(&dense));
         assert!(is_irreducible_sparse(&sparse));
-        assert_eq!(period_sparse(&sparse), 3);
-        assert!(!has_self_loop_sparse(&sparse));
-    }
-
-    #[test]
-    fn sparse_self_loop_detection() {
-        let mut b = SparseChainBuilder::new();
-        b.transition(0, 1, 0.5)
-            .transition(0, 0, 0.5)
-            .transition(1, 0, 1.0);
-        let c = b.build().unwrap();
-        assert!(has_self_loop_sparse(&c));
-        assert!(analyze_sparse(&c).is_ergodic());
     }
 
     #[test]

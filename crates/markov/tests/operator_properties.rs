@@ -1,9 +1,8 @@
 //! Property-based tests for the implicit-operator substrate: for
-//! arbitrary stochastic chains, every [`TransitionOperator`] path —
-//! the trait's default row-scatter apply, the out-of-core spill, and
-//! the cache-blocked dense kernel — must agree with the CSR engine,
-//! bit-for-bit where the float schedule is shared and within rounding
-//! where it is not.
+//! arbitrary stochastic chains, the [`TransitionOperator`] trait's
+//! default row-scatter apply — the path every implicit operator
+//! takes — must agree bit-for-bit with the CSR engine, one step at a
+//! time and through a whole stationary solve.
 
 // Proptest is an external crate gated behind `heavy-deps` so the
 // default workspace builds with zero crates.io dependencies; enable
@@ -12,8 +11,7 @@
 
 use proptest::prelude::*;
 
-use pwf_markov::ooc::SpilledChain;
-use pwf_markov::operator::{stationary_operator, DenseBlockOperator, TransitionOperator};
+use pwf_markov::operator::{stationary_operator, TransitionOperator};
 use pwf_markov::solve::PowerOptions;
 use pwf_markov::sparse::{SparseChain, SparseChainBuilder};
 
@@ -29,10 +27,6 @@ impl TransitionOperator for RowsOnly<'_> {
     fn row_into(&self, i: usize, row: &mut Vec<(u32, f64)>) {
         row.clear();
         row.extend(self.0.row(i));
-    }
-
-    fn resident_rows(&self) -> usize {
-        1
     }
 }
 
@@ -114,59 +108,19 @@ proptest! {
         }
     }
 
-    /// Spilling a chain to disk preserves every row bitwise, the
-    /// total nonzero count, and the strictly-increasing CSR column
-    /// invariant.
+    /// The stationary solve through the default apply is
+    /// bit-identical to the CSR solve: identical pi and identical
+    /// iteration count — generating rows on demand changes *where*
+    /// rows come from, never the arithmetic.
     #[test]
-    fn spill_round_trips_rows_bitwise(chain in chains(), batch in 1usize..6) {
-        let spilled = SpilledChain::spill(&chain, batch).expect("tempfile io");
-        prop_assert_eq!(spilled.len(), chain.len());
-        prop_assert_eq!(spilled.nnz(), chain.nnz());
-        let mut row = Vec::new();
-        for i in 0..chain.len() {
-            spilled.row_into(i, &mut row);
-            let want: Vec<(u32, f64)> = chain.row(i).collect();
-            prop_assert_eq!(row.len(), want.len(), "row {} length", i);
-            for (k, (&(j, p), &(ej, ep))) in row.iter().zip(&want).enumerate() {
-                prop_assert_eq!(j, ej, "row {} entry {}", i, k);
-                prop_assert_eq!(p.to_bits(), ep.to_bits(), "row {} entry {}", i, k);
-            }
-            for pair in row.windows(2) {
-                prop_assert!(pair[0].0 < pair[1].0, "row {} not strictly increasing", i);
-            }
-        }
-    }
-
-    /// The stationary solve is invariant to spilling: identical pi
-    /// (bitwise) and identical iteration count, whatever the batch
-    /// size — the out-of-core path changes *where* rows live, never
-    /// the arithmetic.
-    #[test]
-    fn stationary_is_invariant_to_spilling(chain in chains(), batch in 1usize..6) {
+    fn stationary_via_default_apply_matches_csr_bitwise(chain in chains()) {
         let opts = PowerOptions::new(200_000, 1e-10);
-        let spilled = SpilledChain::spill(&chain, batch).expect("tempfile io");
-        let direct = stationary_operator(&chain, &opts, None).expect("irreducible by construction");
-        let ooc = stationary_operator(&spilled, &opts, None).expect("irreducible by construction");
-        prop_assert_eq!(direct.stats.iterations, ooc.stats.iterations);
-        for (a, b) in direct.pi.iter().zip(&ooc.pi) {
+        let csr = chain.stationary_with(&opts, None).expect("irreducible by construction");
+        let rows = stationary_operator(&RowsOnly(&chain), &opts, None)
+            .expect("irreducible by construction");
+        prop_assert_eq!(csr.stats.iterations, rows.stats.iterations);
+        for (a, b) in csr.pi.iter().zip(&rows.pi) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    /// The cache-blocked dense kernel agrees with the CSR scatter to
-    /// float rounding for every chain, block size, and start vector
-    /// (its tile-major accumulation order legitimately differs, so
-    /// tolerance rather than bit equality).
-    #[test]
-    fn dense_block_apply_agrees_within_rounding(chain in chains(), block in 1usize..9) {
-        let blocked = DenseBlockOperator::from_operator(&chain, block);
-        let dist = vec![1.0 / chain.len() as f64; chain.len()];
-        let mut want = vec![0.0; chain.len()];
-        let mut got = vec![0.0; chain.len()];
-        chain.step_into(&dist, &mut want);
-        blocked.apply_into(&dist, &mut got);
-        for (a, b) in want.iter().zip(&got) {
-            prop_assert!((a - b).abs() < 1e-12, "{} vs {}", a, b);
         }
     }
 

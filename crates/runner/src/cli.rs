@@ -54,9 +54,7 @@ USAGE:
 
     pwf vet [TARGET...] [OPTIONS]
         Systematic concurrency checking: DPOR schedule exploration,
-        linearizability, lock-freedom. `pwf vet --orderings` is a
-        compatibility alias for the orderings pass of `pwf lint`.
-        See `pwf vet --help`.
+        linearizability, lock-freedom. See `pwf vet --help`.
 
     pwf lint [OPTIONS]
         Workspace-wide concurrency static analysis: atomics-ordering,

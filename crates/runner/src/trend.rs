@@ -60,16 +60,16 @@ pub enum Direction {
 }
 
 impl Direction {
-    /// Heuristic by metric name. Error-like fragments are checked
-    /// first so `completions_rel_err` gates on the error, not the
-    /// completions.
+    /// Heuristic by metric name. Speedups are checked first so
+    /// `speedup_at_dense_wall` gates as a speedup, not a wall time;
+    /// error-like fragments come next so `completions_rel_err` gates
+    /// on the error, not the completions.
     pub fn of(name: &str) -> Direction {
         const LOWER: [&str; 11] = [
             "drift", "err", "residual", "_ms", "_us", "wall", "latency", "timeout", "rejected",
             "dropped", "retries",
         ];
-        const HIGHER: [&str; 7] = [
-            "speedup",
+        const HIGHER: [&str; 6] = [
             "throughput",
             "rate",
             "completed",
@@ -77,7 +77,9 @@ impl Direction {
             "hit",
             "coalesced",
         ];
-        if LOWER.iter().any(|frag| name.contains(frag)) {
+        if name.contains("speedup") {
+            Direction::Higher
+        } else if LOWER.iter().any(|frag| name.contains(frag)) {
             Direction::Lower
         } else if HIGHER.iter().any(|frag| name.contains(frag)) {
             Direction::Higher
@@ -638,6 +640,10 @@ mod tests {
         assert_eq!(Direction::of("serve.throughput_rps"), Direction::Higher);
         assert_eq!(Direction::of("serve.cache_hit_rate"), Direction::Higher);
         assert_eq!(Direction::of("markov.largest_dense_n"), Direction::Neutral);
+        assert_eq!(
+            Direction::of("markov.speedup_at_dense_wall"),
+            Direction::Higher
+        );
     }
 
     #[test]

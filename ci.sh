@@ -31,6 +31,10 @@ cargo build --release --offline --workspace
 echo "==> cargo test (offline)"
 cargo test -q --offline --workspace
 
+echo "==> pwfbench self-tests (the benchmark builds against the workspace)"
+# .bench_build is gitignored, so this step writes no tracked file.
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --manifest-path pwfbench/Cargo.toml
+
 echo "==> obs zero-cost gate: workspace must build and test with obs off"
 cargo build --offline --no-default-features -p pwf-obs -p pwf-sim -p pwf-hardware
 cargo test -q --offline --no-default-features -p pwf-obs -p pwf-sim -p pwf-hardware

@@ -277,16 +277,32 @@ pub fn operator_return_time_of_win_state(
 ///
 /// Panics if `i >= n` or `n > MAX_INDIVIDUAL_N`.
 pub fn exact_individual_latency(n: usize, i: usize) -> Result<f64, LatencyError> {
-    assert!(i < n, "process index out of range");
     let chain = individual_chain(n)?;
     let pi = stationary_distribution(&chain)?;
+    Ok(individual_latency_from_stationary(&chain, &pi, n, i))
+}
+
+/// Individual latency `W_i` of process `i` from the individual chain
+/// on `n` processes and its stationary distribution `pi` — for callers
+/// that already solved the chain.
+///
+/// # Panics
+///
+/// Panics if `i >= n` or `pi` does not match the chain's length.
+pub fn individual_latency_from_stationary(
+    chain: &MarkovChain<SubsetState>,
+    pi: &[f64],
+    n: usize,
+    i: usize,
+) -> f64 {
+    assert!(i < n, "process index out of range");
     let bit = 1u32 << i;
     let succ: Vec<f64> = chain
         .states()
         .iter()
         .map(|&s| if s & bit != 0 { 1.0 / n as f64 } else { 0.0 })
         .collect();
-    Ok(latency_from_success_probabilities(&pi, &succ))
+    latency_from_success_probabilities(pi, &succ)
 }
 
 /// The recurrence of Lemma 12: `Z(0) = 1`, `Z(i) = i·Z(i−1)/n + 1`,

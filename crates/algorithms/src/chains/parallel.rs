@@ -200,9 +200,26 @@ pub fn exact_system_latency(n: usize, q: usize) -> Result<f64, LatencyError> {
 ///
 /// Panics if `i >= n` or the individual chain is too large.
 pub fn exact_individual_latency(n: usize, q: usize, i: usize) -> Result<f64, LatencyError> {
-    assert!(i < n, "process index out of range");
     let chain = individual_chain(n, q)?;
     let pi = stationary_distribution(&chain)?;
+    Ok(individual_latency_from_stationary(&chain, &pi, n, q, i))
+}
+
+/// Individual latency `W_i` of process `i` from the individual chain
+/// on `n` processes with `q` steps per call and its stationary
+/// distribution `pi` — for callers that already solved the chain.
+///
+/// # Panics
+///
+/// Panics if `i >= n` or `pi` does not match the chain's length.
+pub fn individual_latency_from_stationary(
+    chain: &MarkovChain<CounterState>,
+    pi: &[f64],
+    n: usize,
+    q: usize,
+    i: usize,
+) -> f64 {
+    assert!(i < n, "process index out of range");
     let succ: Vec<f64> = chain
         .states()
         .iter()
@@ -214,7 +231,7 @@ pub fn exact_individual_latency(n: usize, q: usize, i: usize) -> Result<f64, Lat
             }
         })
         .collect();
-    Ok(latency_from_success_probabilities(&pi, &succ))
+    latency_from_success_probabilities(pi, &succ)
 }
 
 #[cfg(test)]

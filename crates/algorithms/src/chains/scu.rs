@@ -636,9 +636,25 @@ pub fn exact_system_latency(n: usize) -> Result<f64, LatencyError> {
 ///
 /// Panics if `i >= n` or `n > MAX_INDIVIDUAL_N`.
 pub fn exact_individual_latency(n: usize, i: usize) -> Result<f64, LatencyError> {
-    assert!(i < n, "process index out of range");
     let chain = individual_chain(n)?;
     let pi = stationary_distribution(&chain)?;
+    Ok(individual_latency_from_stationary(&chain, &pi, n, i))
+}
+
+/// Individual latency `W_i` of process `i` from the individual chain
+/// on `n` processes and its stationary distribution `pi` — for callers
+/// that already solved the chain.
+///
+/// # Panics
+///
+/// Panics if `i >= n` or `pi` does not match the chain's length.
+pub fn individual_latency_from_stationary(
+    chain: &MarkovChain<IndividualState>,
+    pi: &[f64],
+    n: usize,
+    i: usize,
+) -> f64 {
+    assert!(i < n, "process index out of range");
     // η_i = Σ_{x : x[i] = CCas} π'_x / n (Lemma 7).
     let succ: Vec<f64> = chain
         .states()
@@ -651,7 +667,7 @@ pub fn exact_individual_latency(n: usize, i: usize) -> Result<f64, LatencyError>
             }
         })
         .collect();
-    Ok(latency_from_success_probabilities(&pi, &succ))
+    latency_from_success_probabilities(pi, &succ)
 }
 
 /// Errors from exact-latency computations.

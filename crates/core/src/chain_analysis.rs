@@ -102,7 +102,9 @@ impl From<LiftingError> for ChainAnalysisError {
 }
 
 /// Runs the full exact analysis (chains, lifting, latencies) for a
-/// family at `n` processes. `n` is limited by the individual chain's
+/// family at `n` processes. The individual chain is solved once: its
+/// latency comes from the stationary distribution the lifting check
+/// already computed. `n` is limited by the individual chain's
 /// exponential state count — see the per-family `MAX_INDIVIDUAL`
 /// constants in [`pwf_algorithms::chains`].
 ///
@@ -127,7 +129,12 @@ pub fn analyze(family: ChainFamily, n: usize) -> Result<ChainReport, ChainAnalys
                 individual_states: ind.len(),
                 system_states: sys.len(),
                 system_latency: scu::exact_system_latency(n)?,
-                individual_latency: scu::exact_individual_latency(n, 0)?,
+                individual_latency: scu::individual_latency_from_stationary(
+                    &ind,
+                    &lifting.lifted_stationary,
+                    n,
+                    0,
+                ),
                 lifting_flow_residual: lifting.flow_residual,
                 lifting_stationary_residual: lifting.stationary_residual,
             })
@@ -142,7 +149,13 @@ pub fn analyze(family: ChainFamily, n: usize) -> Result<ChainReport, ChainAnalys
                 individual_states: ind.len(),
                 system_states: sys.len(),
                 system_latency: parallel::exact_system_latency(n, q)?,
-                individual_latency: parallel::exact_individual_latency(n, q, 0)?,
+                individual_latency: parallel::individual_latency_from_stationary(
+                    &ind,
+                    &lifting.lifted_stationary,
+                    n,
+                    q,
+                    0,
+                ),
                 lifting_flow_residual: lifting.flow_residual,
                 lifting_stationary_residual: lifting.stationary_residual,
             })
@@ -157,7 +170,12 @@ pub fn analyze(family: ChainFamily, n: usize) -> Result<ChainReport, ChainAnalys
                 individual_states: ind.len(),
                 system_states: sys.len(),
                 system_latency: fai::exact_system_latency(n)?,
-                individual_latency: fai::exact_individual_latency(n, 0)?,
+                individual_latency: fai::individual_latency_from_stationary(
+                    &ind,
+                    &lifting.lifted_stationary,
+                    n,
+                    0,
+                ),
                 lifting_flow_residual: lifting.flow_residual,
                 lifting_stationary_residual: lifting.stationary_residual,
             })
@@ -278,6 +296,39 @@ mod tests {
             let r = analyze(ChainFamily::FetchAndInc, n).unwrap();
             assert!(r.system_latency <= 2.0 * (n as f64).sqrt());
             assert!((r.fairness_identity() - 1.0).abs() < 1e-8);
+        }
+    }
+
+    #[test]
+    fn analysis_reuses_the_lifting_solve_bit_for_bit() {
+        // The individual latency comes from the lifting check's
+        // stationary distribution; it must equal a fresh solve exactly.
+        for n in 1..=5 {
+            let r = analyze(ChainFamily::Scu01, n).unwrap();
+            let fresh = scu::exact_individual_latency(n, 0).unwrap();
+            assert_eq!(
+                r.individual_latency.to_bits(),
+                fresh.to_bits(),
+                "scu n = {n}"
+            );
+        }
+        for n in 1..=6 {
+            let r = analyze(ChainFamily::FetchAndInc, n).unwrap();
+            let fresh = fai::exact_individual_latency(n, 0).unwrap();
+            assert_eq!(
+                r.individual_latency.to_bits(),
+                fresh.to_bits(),
+                "fai n = {n}"
+            );
+        }
+        for (q, n) in [(1, 4), (2, 3), (3, 3)] {
+            let r = analyze(ChainFamily::Parallel { q }, n).unwrap();
+            let fresh = parallel::exact_individual_latency(n, q, 0).unwrap();
+            assert_eq!(
+                r.individual_latency.to_bits(),
+                fresh.to_bits(),
+                "parallel q = {q}, n = {n}"
+            );
         }
     }
 

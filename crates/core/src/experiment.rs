@@ -6,8 +6,8 @@ use pwf_sim::crash::{CrashSchedule, CrashScheduleError};
 use pwf_sim::executor::{run, run_traced, RunConfig};
 use pwf_sim::memory::SharedMemory;
 use pwf_sim::process::ProcessId;
-use pwf_sim::progress;
-use pwf_sim::stats;
+use pwf_sim::progress::ProgressReport;
+use pwf_sim::stats::{self, CompletionSummary};
 
 use crate::spec::{AlgorithmSpec, SchedulerSpec};
 
@@ -122,10 +122,11 @@ impl SimExperiment {
             }
         }
 
-        let progress_report = progress::measure(&exec, &crashed);
-        let system = stats::system_latency(&exec);
+        // One pass over the completions yields every mean and gap below.
+        let summary = CompletionSummary::of(&exec);
+        let progress_report = ProgressReport::from_summary(&summary, &crashed);
         let individual_means: Vec<Option<f64>> = (0..self.n)
-            .map(|i| stats::individual_latency(&exec, ProcessId::new(i)).map(|s| s.mean))
+            .map(|i| summary.individual_latency(ProcessId::new(i)))
             .collect();
 
         Ok(SimReport {
@@ -133,7 +134,7 @@ impl SimExperiment {
             steps: self.steps,
             total_completions: exec.total_completions(),
             completion_rate: stats::completion_rate(&exec),
-            system_latency: system.map(|s| s.mean),
+            system_latency: summary.system_latency(),
             individual_latencies: individual_means,
             process_completions: exec.process_completions.clone(),
             minimal_progress_bound: progress_report.minimal_bound,

@@ -36,6 +36,9 @@ pub struct LiftingReport {
     pub lifted_states: usize,
     /// Number of states in the base (smaller) chain.
     pub base_states: usize,
+    /// The lifted chain's stationary distribution, solved for the flow
+    /// check and kept so callers need not solve the chain again.
+    pub lifted_stationary: Vec<f64>,
 }
 
 /// Why a lifting verification failed.
@@ -179,6 +182,7 @@ where
         stationary_residual: worst_pi,
         lifted_states: lifted.len(),
         base_states: base.len(),
+        lifted_stationary: lifted_flow.stationary().to_vec(),
     })
 }
 

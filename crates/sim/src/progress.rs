@@ -7,10 +7,12 @@
 //! window of `B` system steps.
 //!
 //! On a finite execution these are measured as the worst observed gap:
-//! the smallest `B` for which the condition held throughout the run.
+//! the smallest `B` for which the condition held throughout the run,
+//! read from one [`CompletionSummary`] pass over the completions.
 
 use crate::executor::Execution;
 use crate::process::ProcessId;
+use crate::stats::CompletionSummary;
 
 /// Measured progress bounds of a finite execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,6 +32,25 @@ pub struct ProgressReport {
 }
 
 impl ProgressReport {
+    /// The progress bounds of an already summarised execution, for
+    /// callers that also read latencies from the same
+    /// [`CompletionSummary`]. `crashed` is as in [`measure`].
+    pub fn from_summary(summary: &CompletionSummary, crashed: &[ProcessId]) -> Self {
+        let per_process_bound: Vec<Option<u64>> = (0..summary.process_count())
+            .map(|i| summary.process_bound(ProcessId::new(i)))
+            .collect();
+        let maximal_bound = per_process_bound
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !crashed.contains(&ProcessId::new(i)))
+            .try_fold(0u64, |acc, (_, b)| b.map(|b| acc.max(b)));
+        ProgressReport {
+            minimal_bound: summary.minimal_bound(),
+            maximal_bound,
+            per_process_bound,
+        }
+    }
+
     /// Whether the execution exhibited minimal progress with bound `b`.
     pub fn is_minimal_within(&self, b: u64) -> bool {
         matches!(self.minimal_bound, Some(m) if m <= b)
@@ -41,45 +62,13 @@ impl ProgressReport {
     }
 }
 
-/// Worst gap between consecutive events (plus the leading gap from
-/// step 0 to the first event and the trailing gap to the end of the
-/// run). `None` when `times` is empty.
-fn worst_gap(times: &[u64], total_steps: u64) -> Option<u64> {
-    let first = *times.first()?;
-    let mut worst = first;
-    for w in times.windows(2) {
-        worst = worst.max(w[1] - w[0]);
-    }
-    worst = worst.max(total_steps - times.last().expect("non-empty"));
-    Some(worst)
-}
-
 /// Measures the progress bounds of an execution.
 ///
 /// `crashed` lists processes that crashed during the run; they are
 /// exempt from the maximal-progress requirement (only *active*
 /// invocations must return).
 pub fn measure(execution: &Execution, crashed: &[ProcessId]) -> ProgressReport {
-    let n = execution.process_count();
-    let all_times: Vec<u64> = execution.completions.iter().map(|c| c.time).collect();
-    let minimal_bound = worst_gap(&all_times, execution.steps);
-
-    let mut per_process_bound = Vec::with_capacity(n);
-    for i in 0..n {
-        let times = execution.completion_times(ProcessId::new(i));
-        per_process_bound.push(worst_gap(&times, execution.steps));
-    }
-
-    let maximal_bound = (0..n)
-        .filter(|&i| !crashed.contains(&ProcessId::new(i)))
-        .map(|i| per_process_bound[i])
-        .try_fold(0u64, |acc, b| b.map(|b| acc.max(b)));
-
-    ProgressReport {
-        minimal_bound,
-        maximal_bound,
-        per_process_bound,
-    }
+    ProgressReport::from_summary(&CompletionSummary::of(execution), crashed)
 }
 
 #[cfg(test)]

@@ -64,11 +64,12 @@ pub fn individual_latency(execution: &Execution, p: ProcessId) -> Option<Latency
 /// Mean individual latency averaged over all processes that completed
 /// at least two operations. `None` if no process did.
 pub fn mean_individual_latency(execution: &Execution) -> Option<f64> {
+    let summary = CompletionSummary::of(execution);
     let mut sum = 0.0;
     let mut cnt = 0usize;
-    for i in 0..execution.process_count() {
-        if let Some(s) = individual_latency(execution, ProcessId::new(i)) {
-            sum += s.mean;
+    for i in 0..summary.process_count() {
+        if let Some(mean) = summary.individual_latency(ProcessId::new(i)) {
+            sum += mean;
             cnt += 1;
         }
     }
@@ -76,6 +77,116 @@ pub fn mean_individual_latency(execution: &Execution) -> Option<f64> {
         None
     } else {
         Some(sum / cnt as f64)
+    }
+}
+
+/// The completions of one process, or of all processes together, as
+/// four words: how many, the first and last completion time, and the
+/// worst gap so far counting the leading gap from step 0.
+#[derive(Debug, Clone, Copy, Default)]
+struct Track {
+    count: u64,
+    first: u64,
+    last: u64,
+    worst_gap: u64,
+}
+
+impl Track {
+    fn record(&mut self, t: u64) {
+        let gap = if self.count == 0 {
+            self.first = t;
+            t
+        } else {
+            t - self.last
+        };
+        self.worst_gap = self.worst_gap.max(gap);
+        self.last = t;
+        self.count += 1;
+    }
+
+    /// Mean gap between consecutive completions. Completions are time
+    /// ordered, so the gaps telescope to `last − first`: this equals
+    /// the gap histogram's exact mean bit for bit (both divide the same
+    /// integers, converted to `f64` once each).
+    fn mean_gap(&self) -> Option<f64> {
+        (self.count >= 2).then(|| (self.last - self.first) as f64 / (self.count - 1) as f64)
+    }
+
+    /// Worst gap including both run edges: from step 0 to the first
+    /// completion and from the last one to the end of the run.
+    fn worst_gap_until(&self, steps: u64) -> Option<u64> {
+        (self.count > 0).then(|| self.worst_gap.max(steps - self.last))
+    }
+}
+
+/// Every per-process latency and progress quantity of an execution,
+/// gathered in one pass over its completions: O(C + n) time for C
+/// completions and 4·n words of state, where rescanning the completion
+/// list per process costs O(n·C).
+///
+/// [`progress::measure`](crate::progress::measure) and the experiment
+/// layer read their means and worst gaps from here;
+/// [`individual_latency`] stays the per-process summary with quantiles.
+#[derive(Debug, Clone)]
+pub struct CompletionSummary {
+    steps: u64,
+    all: Track,
+    per_process: Vec<Track>,
+}
+
+impl CompletionSummary {
+    /// Summarises `execution` in one pass over its completions.
+    pub fn of(execution: &Execution) -> Self {
+        let mut all = Track::default();
+        let mut per_process = vec![Track::default(); execution.process_count()];
+        for c in &execution.completions {
+            all.record(c.time);
+            per_process[c.process.index()].record(c.time);
+        }
+        CompletionSummary {
+            steps: execution.steps,
+            all,
+            per_process,
+        }
+    }
+
+    /// Number of processes in the summarised execution.
+    pub fn process_count(&self) -> usize {
+        self.per_process.len()
+    }
+
+    /// Mean system latency; equals [`system_latency`]'s mean bit for
+    /// bit. `None` if fewer than two operations completed.
+    pub fn system_latency(&self) -> Option<f64> {
+        self.all.mean_gap()
+    }
+
+    /// Mean individual latency of `p`; equals [`individual_latency`]'s
+    /// mean bit for bit. `None` if `p` completed fewer than two
+    /// operations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not a process of the execution.
+    pub fn individual_latency(&self, p: ProcessId) -> Option<f64> {
+        self.per_process[p.index()].mean_gap()
+    }
+
+    /// Worst gap between completions by any process, run edges
+    /// included: the bounded-minimal-progress bound. `None` if nothing
+    /// completed.
+    pub fn minimal_bound(&self) -> Option<u64> {
+        self.all.worst_gap_until(self.steps)
+    }
+
+    /// Worst gap between consecutive completions by `p`, run edges
+    /// included. `None` if `p` never completed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not a process of the execution.
+    pub fn process_bound(&self, p: ProcessId) -> Option<u64> {
+        self.per_process[p.index()].worst_gap_until(self.steps)
     }
 }
 

@@ -87,14 +87,14 @@ echo "==> pwf lint: mutant corpus + fingerprint + schema gates"
 cargo test -q --offline -p pwf-lint
 cargo test -q --offline -p pwf-runner --test lint_schema
 
-echo "==> markov perf smoke: matrix-free engine vs dense, lifting at n=100"
+echo "==> markov perf smoke: sparse engine vs dense, lifting at n=100"
 # exp_markov_bench times the dense direct-solve SCU analysis against
-# the matrix-free operator pipeline and returns nonzero if the
-# operator path is not strictly faster at the dense wall, if the
-# symmetry-reduced lifting check at n >= 100 exceeds a 1e-12 kernel
-# residual, or if solver throughput is not positive; it also
-# refreshes BENCH_markov.json. (--fast keeps the dense side at n <= 6
-# but still runs the n = 100 matrix-free sweep.)
+# the sparse CSR pipeline and returns nonzero if the sparse path is
+# not strictly faster at the dense wall, if the symmetry-reduced
+# lifting check at n >= 100 exceeds a 1e-12 kernel residual, or if
+# solver throughput is not positive; it also refreshes
+# BENCH_markov.json. (--fast keeps the dense side at n <= 6 but still
+# runs the n = 100 sparse sweep.)
 ./target/release/pwf run exp_markov_bench --fast
 grep -q '"speedup"' BENCH_markov.json
 grep -q '"lifting_verified_n": 100' BENCH_markov.json
@@ -142,11 +142,8 @@ ls flight/tail-exceedance-*.json >/dev/null
 echo "==> serve property tests: LRU vs reference model (vendored proptest)"
 cargo test -q --offline -p pwf-serve --features heavy-deps --test lru_properties
 
-echo "==> sparse-vs-dense solver property tests (vendored proptest)"
+echo "==> sparse-vs-dense solver and CSR row property tests (vendored proptest)"
 cargo test -q --offline --features heavy-deps --test sparse_markov_properties
-
-echo "==> operator property tests: default apply and solve vs CSR (vendored proptest)"
-cargo test -q --offline -p pwf-markov --features heavy-deps --test operator_properties
 
 echo "==> sampler property tests (vendored proptest)"
 cargo test -q --offline -p pwf-sim --features heavy-deps --test sampler_properties

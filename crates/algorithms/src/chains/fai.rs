@@ -7,9 +7,8 @@
 //! the current value.
 
 use pwf_markov::chain::{ChainError, MarkovChain};
-use pwf_markov::hitting::{hitting_times, operator_hitting_times, sparse_hitting_times};
-use pwf_markov::operator::{stationary_operator, TransitionOperator};
-use pwf_markov::solve::{GaussSeidelOptions, Metrics, PowerOptions, SolveStats};
+use pwf_markov::hitting::{hitting_times, sparse_hitting_times};
+use pwf_markov::solve::{GaussSeidelOptions, Metrics};
 use pwf_markov::sparse::{SparseChain, SparseChainBuilder};
 use pwf_markov::stationary::stationary_distribution;
 
@@ -121,76 +120,6 @@ pub fn global_chain(n: usize) -> Result<MarkovChain<usize>, ChainError> {
     sparse_global_chain(n)?.to_dense()
 }
 
-/// The matrix-free transition operator of the FAI global chain: state
-/// `v_i` (1-based, at index `i − 1`) jumps to `v_1` with probability
-/// `i/n` and to `v_{i+1}` with probability `1 − i/n`. Rows reproduce
-/// [`sparse_global_chain`]'s CSR rows bitwise, so operator solves are
-/// bit-identical to CSR solves with zero rows resident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaiGlobalOperator {
-    n: usize,
-}
-
-impl FaiGlobalOperator {
-    /// Operator for `n` processes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 1, "need at least one process");
-        FaiGlobalOperator { n }
-    }
-
-    /// Number of processes (also the state count).
-    pub fn n(&self) -> usize {
-        self.n
-    }
-}
-
-impl TransitionOperator for FaiGlobalOperator {
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn row_into(&self, i: usize, row: &mut Vec<(u32, f64)>) {
-        assert!(i < self.n, "row {i} out of bounds ({})", self.n);
-        row.clear();
-        let v = i + 1;
-        let nf = self.n as f64;
-        row.push((0, v as f64 / nf));
-        if v < self.n {
-            row.push(((i + 1) as u32, 1.0 - v as f64 / nf));
-        }
-    }
-}
-
-/// System latency for large `n` via the matrix-free operator and
-/// adaptive power iteration, with solver statistics — the scalable
-/// counterpart of [`exact_system_latency`]. Bit-identical to solving
-/// the CSR global chain, without materializing it.
-///
-/// # Errors
-///
-/// Propagates solver convergence failures.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn large_system_latency_with(
-    n: usize,
-    opts: &PowerOptions,
-    metrics: Option<&Metrics>,
-) -> Result<(f64, SolveStats), LatencyError> {
-    let op = FaiGlobalOperator::new(n);
-    let solve = stationary_operator(&op, opts, metrics).map_err(LatencyError::Stationary)?;
-    let succ: Vec<f64> = (1..=n).map(|i| i as f64 / n as f64).collect();
-    Ok((
-        latency_from_success_probabilities(&solve.pi, &succ),
-        solve.stats,
-    ))
-}
-
 /// Exact system latency `W` (expected steps between wins) from the
 /// global chain's stationary distribution: a step from state `i`
 /// succeeds with probability `i/n`. Lemma 12 bounds this by `2√n`.
@@ -240,29 +169,6 @@ pub fn sparse_return_time_of_win_state(
     let chain = sparse_global_chain(n)?;
     let idx = chain.state_index(&1).expect("state 1 exists");
     Ok(sparse_hitting_times(&chain, idx, opts, metrics)?[idx])
-}
-
-/// Expected return time of the win state via matrix-free Gauss–Seidel
-/// on [`FaiGlobalOperator`] — no chain is materialized, so it runs at
-/// any `n` whose hitting-time vector fits in memory. Unlike
-/// [`sparse_return_time_of_win_state`] the irreducibility of the
-/// global chain is assumed (it holds for every `n ≥ 1`), not checked.
-///
-/// # Errors
-///
-/// Propagates solver-convergence failures.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn operator_return_time_of_win_state(
-    n: usize,
-    opts: &GaussSeidelOptions,
-    metrics: Option<&Metrics>,
-) -> Result<f64, LatencyError> {
-    let op = FaiGlobalOperator::new(n);
-    // v_1 interns at index 0.
-    Ok(operator_hitting_times(&op, 0, opts, metrics).map_err(LatencyError::Stationary)?[0])
 }
 
 /// Exact individual latency `W_i` from the individual chain: process
@@ -467,58 +373,35 @@ mod tests {
 
     #[test]
     fn sparse_latency_matches_dense() {
+        use pwf_markov::solve::PowerOptions;
         for n in [4usize, 16, 64] {
             let dense = exact_system_latency(n).unwrap();
-            let (sparse, stats) =
-                large_system_latency_with(n, &PowerOptions::new(400_000, 1e-12), None).unwrap();
+            let chain = sparse_global_chain(n).unwrap();
+            let solve = chain
+                .stationary_with(&PowerOptions::new(400_000, 1e-12), None)
+                .unwrap();
+            let succ: Vec<f64> = (1..=n).map(|i| i as f64 / n as f64).collect();
+            let sparse = latency_from_success_probabilities(&solve.pi, &succ);
             assert!(
                 (dense - sparse).abs() / dense < 1e-6,
                 "n={n}: dense {dense} vs sparse {sparse}"
             );
-            assert!(stats.iterations > 0);
+            assert!(solve.stats.iterations > 0);
         }
     }
 
     #[test]
-    fn operator_rows_are_bitwise_identical_to_csr_rows() {
-        for n in [1usize, 2, 7, 64] {
-            let op = FaiGlobalOperator::new(n);
-            let chain = sparse_global_chain(n).unwrap();
-            assert_eq!(op.len(), chain.len(), "n={n}");
-            let mut row = Vec::new();
-            for i in 0..chain.len() {
-                op.row_into(i, &mut row);
-                let want: Vec<(u32, f64)> = chain.row(i).collect();
-                assert_eq!(row, want, "n={n} row {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn operator_latency_is_bit_exact_vs_csr_solve() {
-        let opts = PowerOptions::new(400_000, 1e-12);
-        for n in [5usize, 64, 500] {
-            let chain = sparse_global_chain(n).unwrap();
-            let solve = chain.stationary_with(&opts, None).unwrap();
-            let succ: Vec<f64> = chain
-                .states()
-                .iter()
-                .map(|&i| i as f64 / n as f64)
-                .collect();
-            let want = latency_from_success_probabilities(&solve.pi, &succ);
-            let (got, stats) = large_system_latency_with(n, &opts, None).unwrap();
-            assert_eq!(got.to_bits(), want.to_bits(), "n={n}");
-            assert_eq!(stats.iterations, solve.stats.iterations, "n={n}");
-        }
-    }
-
-    #[test]
-    fn operator_return_time_matches_sparse_gauss_seidel() {
+    fn sparse_return_time_is_pinned_bitwise() {
+        // The Gauss–Seidel return time of v_1 that exp_fai_chain prints
+        // as 'W GS', pinned at the default options.
         let opts = GaussSeidelOptions::default();
-        for n in [3usize, 16, 100, 4096] {
-            let sparse = sparse_return_time_of_win_state(n, &opts, None).unwrap();
-            let op = operator_return_time_of_win_state(n, &opts, None).unwrap();
-            assert_eq!(op.to_bits(), sparse.to_bits(), "n={n}");
+        for (n, bits) in [
+            (3usize, 0x3ffe_38e3_8e38_e38f_u64),
+            (100, 0x4028_6b7f_f5b0_3498),
+            (4096, 0x4053_f858_691e_f1f5),
+        ] {
+            let w = sparse_return_time_of_win_state(n, &opts, None).unwrap();
+            assert_eq!(w.to_bits(), bits, "n={n}: W = {w}");
         }
     }
 

@@ -14,7 +14,6 @@
 //! exactly the sense of Lemma 5.
 
 use pwf_markov::chain::{ChainError, MarkovChain};
-use pwf_markov::operator::TransitionOperator;
 use pwf_markov::sparse::{SparseChain, SparseChainBuilder};
 use pwf_markov::stationary::stationary_distribution;
 
@@ -102,67 +101,6 @@ pub fn sparse_system_chain(n: usize, cs: usize) -> Result<SparseChain<LockState>
         }
     }
     b.build()
-}
-
-/// The matrix-free transition operator of the lock system chain:
-/// `Free` interns at index 0 and `Held(r)` at index `r`, so rows come
-/// straight from the closed-form dynamics — `Free → Held(cs+1)` with
-/// probability 1; `Held(r)` advances to index `r − 1` with probability
-/// `1/n` (for `r = 1` that *is* `Free`) and self-loops otherwise.
-/// Rows reproduce [`sparse_system_chain`]'s CSR rows bitwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LockSystemOperator {
-    n: usize,
-    cs: usize,
-}
-
-impl LockSystemOperator {
-    /// Operator for `n` processes and a `cs`-step critical section.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`, `cs == 0`, or `cs > 254` (the bounds of
-    /// [`sparse_system_chain`]).
-    pub fn new(n: usize, cs: usize) -> Self {
-        assert!(n >= 1 && cs >= 1, "need n ≥ 1 and cs ≥ 1");
-        assert!(cs <= 254, "critical section must fit in a byte");
-        LockSystemOperator { n, cs }
-    }
-
-    /// The state at a given index (inverse of the interning order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= len()`.
-    pub fn state_of(&self, idx: usize) -> LockState {
-        assert!(idx < self.cs + 2, "index {idx} out of bounds");
-        if idx == 0 {
-            LockState::Free
-        } else {
-            LockState::Held(idx as u8)
-        }
-    }
-}
-
-impl TransitionOperator for LockSystemOperator {
-    fn len(&self) -> usize {
-        self.cs + 2
-    }
-
-    fn row_into(&self, i: usize, row: &mut Vec<(u32, f64)>) {
-        assert!(i < self.len(), "row {i} out of bounds ({})", self.len());
-        row.clear();
-        let total = self.cs + 1;
-        let nf = self.n as f64;
-        if i == 0 {
-            row.push((total as u32, 1.0));
-            return;
-        }
-        row.push(((i - 1) as u32, 1.0 / nf));
-        if self.n > 1 {
-            row.push((i as u32, 1.0 - 1.0 / nf));
-        }
-    }
 }
 
 /// Builds the individual chain (holder identities tracked).
@@ -320,22 +258,6 @@ mod tests {
             let sys = sparse_system_chain(n, cs).unwrap();
             let r = kernel_residual_sparse(&ind, &sys, lift).unwrap();
             assert!(r < 1e-12, "n={n} cs={cs}: kernel residual {r}");
-        }
-    }
-
-    #[test]
-    fn operator_rows_are_bitwise_identical_to_csr_rows() {
-        for (n, cs) in [(1usize, 1usize), (2, 1), (4, 3), (32, 7)] {
-            let op = LockSystemOperator::new(n, cs);
-            let chain = sparse_system_chain(n, cs).unwrap();
-            assert_eq!(op.len(), chain.len(), "n={n} cs={cs}");
-            let mut row = Vec::new();
-            for i in 0..chain.len() {
-                assert_eq!(&op.state_of(i), chain.state(i), "n={n} cs={cs} idx {i}");
-                op.row_into(i, &mut row);
-                let want: Vec<(u32, f64)> = chain.row(i).collect();
-                assert_eq!(row, want, "n={n} cs={cs} row {i}");
-            }
         }
     }
 

@@ -13,21 +13,17 @@
 //! parallel code), so constructions enforce small-`n` limits; the
 //! system chains scale comfortably to hundreds of processes.
 //!
-//! The system chains are **operator-first**: each family exposes a
-//! matrix-free [`pwf_markov::operator::TransitionOperator`]
-//! ([`scu::ScuSystemOperator`], [`fai::FaiGlobalOperator`],
-//! [`lock::LockSystemOperator`], [`scan::ScanSystemOperator`]) whose
-//! rows are generated on demand from the state encoding in the exact
-//! float schedule of the CSR construction, so operator solves are
-//! bit-identical to solving the stored chain. The CSR builders (via
-//! [`pwf_markov::sparse::SparseChainBuilder`]) are retained as the
-//! small-`n` oracles, and the dense variants are
-//! [`pwf_markov::sparse::SparseChain::to_dense`] conversions of those.
-//! Past the enumeration wall, the SCU lifting is verified by the
-//! symmetry-reduced, matrix-free kernel check
-//! ([`scu::verify_lifting_by_symmetry`], chunked for parallel fan-out
-//! by [`scu::orbit_chunks`]) and latencies come from the adaptive
-//! iterative solvers.
+//! Each system chain has one representation: the CSR
+//! [`pwf_markov::sparse::SparseChain`] its builder returns
+//! ([`scu::sparse_system_chain`], [`fai::sparse_global_chain`],
+//! [`lock::sparse_system_chain`], [`scan::system_chain`]), which the
+//! iterative solvers run on directly. The dense variants are
+//! [`pwf_markov::sparse::SparseChain::to_dense`] conversions of those,
+//! kept as the small-`n` oracle. Past the enumeration wall, the SCU
+//! lifting is verified by the symmetry-reduced kernel check against
+//! the stored system chain ([`scu::verify_lifting_by_symmetry`],
+//! chunked for parallel fan-out by [`scu::orbit_chunks`]) and
+//! latencies come from the adaptive iterative solvers.
 //!
 //! ## A note on the paper's printed transition probabilities
 //!

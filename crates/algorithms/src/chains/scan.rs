@@ -21,7 +21,6 @@
 //! is built sparsely over the reachable set only.
 
 use pwf_markov::chain::ChainError;
-use pwf_markov::operator::{stationary_operator, TransitionOperator};
 use pwf_markov::solve::{Metrics, PowerOptions, SolveStats};
 use pwf_markov::sparse::{SparseChain, SparseChainBuilder};
 
@@ -94,9 +93,7 @@ impl CellLayout {
     }
 }
 
-/// The successor occupancy when a process in `cell` is scheduled —
-/// the single source of truth shared by the CSR builder and the
-/// matrix-free operator.
+/// The successor occupancy when a process in `cell` is scheduled.
 fn successor(layout: &CellLayout, state: &ScanState, cell: usize) -> ScanState {
     match layout.advance(cell) {
         Some(target) => {
@@ -170,120 +167,6 @@ pub fn system_chain(n: usize, s: usize) -> Result<SparseChain<ScanState>, ChainE
     builder.build()
 }
 
-/// The matrix-free transition operator of the scan system chain: the
-/// reachable state *labels* are enumerated once (same traversal and
-/// interning order as [`system_chain`]), but transition rows are
-/// regenerated on demand from the occupancy dynamics — `O(states·s)`
-/// label memory instead of `O(nnz)` matrix entries, with rows
-/// bit-identical to the CSR construction (same insertion order, same
-/// sort, same duplicate merge).
-#[derive(Debug, Clone)]
-pub struct ScanSystemOperator {
-    n: usize,
-    layout: CellLayout,
-    states: Vec<ScanState>,
-    index: std::collections::HashMap<ScanState, usize>,
-}
-
-impl ScanSystemOperator {
-    /// Enumerates the reachable states for `n` processes and scan
-    /// length `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`, `s == 0`, or `n > u16::MAX as usize`.
-    pub fn new(n: usize, s: usize) -> Self {
-        assert!(n >= 1, "need at least one process");
-        assert!(s >= 1, "scan region must be non-empty");
-        assert!(n <= u16::MAX as usize, "n must fit in u16 counts");
-        let layout = CellLayout { s };
-        let cells = layout.cells();
-        let mut initial = vec![0u16; cells];
-        initial[layout.pos0()] = n as u16;
-
-        // Identical traversal to system_chain: interning on first
-        // transition target preserves the builder's index order.
-        let mut states = vec![initial.clone()];
-        let mut index = std::collections::HashMap::new();
-        index.insert(initial.clone(), 0usize);
-        let mut frontier = vec![initial.clone()];
-        let mut seen = std::collections::HashSet::new();
-        seen.insert(initial);
-        while let Some(state) = frontier.pop() {
-            for cell in 0..cells {
-                if state[cell] == 0 {
-                    continue;
-                }
-                let next = successor(&layout, &state, cell);
-                if seen.insert(next.clone()) {
-                    frontier.push(next.clone());
-                }
-                if !index.contains_key(&next) {
-                    index.insert(next.clone(), states.len());
-                    states.push(next);
-                }
-            }
-        }
-        ScanSystemOperator {
-            n,
-            layout,
-            states,
-            index,
-        }
-    }
-
-    /// The reachable states, in index order.
-    pub fn states(&self) -> &[ScanState] {
-        &self.states
-    }
-
-    /// The cell layout in use.
-    pub fn layout(&self) -> CellLayout {
-        self.layout
-    }
-
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-}
-
-impl TransitionOperator for ScanSystemOperator {
-    fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    fn row_into(&self, i: usize, row: &mut Vec<(u32, f64)>) {
-        row.clear();
-        let state = &self.states[i];
-        let nf = self.n as f64;
-        for cell in 0..self.layout.cells() {
-            if state[cell] == 0 {
-                continue;
-            }
-            let next = successor(&self.layout, state, cell);
-            let j = self.index[&next];
-            row.push((j as u32, state[cell] as f64 / nf));
-        }
-        // Canonicalize exactly as SparseChainBuilder::build does:
-        // sort by target, then merge duplicates by summing in order.
-        row.sort_unstable_by_key(|&(j, _)| j);
-        let mut w = 0;
-        let mut k = 0;
-        while k < row.len() {
-            let (j, mut p) = row[k];
-            k += 1;
-            while k < row.len() && row[k].0 == j {
-                p += row[k].1;
-                k += 1;
-            }
-            row[w] = (j, p);
-            w += 1;
-        }
-        row.truncate(w);
-    }
-}
-
 /// Exact system latency of `SCU(0, s)` with mid-scan invalidation,
 /// via the adaptive sparse solver, with solver statistics and optional
 /// metrics publication.
@@ -320,37 +203,6 @@ pub fn exact_system_latency_with(
 /// Propagates chain construction and solver-convergence errors.
 pub fn exact_system_latency(n: usize, s: usize) -> Result<f64, LatencyError> {
     exact_system_latency_with(n, s, &PowerOptions::new(500_000, 1e-12), None).map(|(w, _)| w)
-}
-
-/// Matrix-free counterpart of [`exact_system_latency_with`]: solves on
-/// [`ScanSystemOperator`], regenerating rows each sweep instead of
-/// storing the CSR matrix. Bit-identical to the CSR solve.
-///
-/// # Errors
-///
-/// Propagates solver-convergence errors.
-///
-/// # Panics
-///
-/// Panics on the construction bounds of [`ScanSystemOperator::new`].
-pub fn operator_system_latency_with(
-    n: usize,
-    s: usize,
-    opts: &PowerOptions,
-    metrics: Option<&Metrics>,
-) -> Result<(f64, SolveStats), LatencyError> {
-    let op = ScanSystemOperator::new(n, s);
-    let solve = stationary_operator(&op, opts, metrics).map_err(LatencyError::Stationary)?;
-    let cas_v = op.layout().cas(true);
-    let succ: Vec<f64> = op
-        .states()
-        .iter()
-        .map(|state| state[cas_v] as f64 / n as f64)
-        .collect();
-    Ok((
-        latency_from_success_probabilities(&solve.pi, &succ),
-        solve.stats,
-    ))
 }
 
 #[cfg(test)]
@@ -455,33 +307,6 @@ mod tests {
                 &RunConfig::new(600_000).seed(500),
             );
             system_latency(&exec).expect("completions").mean
-        }
-    }
-
-    #[test]
-    fn operator_reproduces_csr_interning_and_rows_bitwise() {
-        for (n, s) in [(2usize, 1usize), (4, 2), (3, 3), (8, 2)] {
-            let op = ScanSystemOperator::new(n, s);
-            let chain = system_chain(n, s).unwrap();
-            assert_eq!(op.len(), chain.len(), "n={n} s={s}");
-            assert_eq!(op.states(), chain.states(), "n={n} s={s}");
-            let mut row = Vec::new();
-            for i in 0..chain.len() {
-                op.row_into(i, &mut row);
-                let want: Vec<(u32, f64)> = chain.row(i).collect();
-                assert_eq!(row, want, "n={n} s={s} row {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn operator_latency_is_bit_exact_vs_csr_solve() {
-        let opts = PowerOptions::new(500_000, 1e-12);
-        for (n, s) in [(4usize, 2usize), (8, 2), (6, 3)] {
-            let (want, want_stats) = exact_system_latency_with(n, s, &opts, None).unwrap();
-            let (got, stats) = operator_system_latency_with(n, s, &opts, None).unwrap();
-            assert_eq!(got.to_bits(), want.to_bits(), "n={n} s={s}");
-            assert_eq!(stats.iterations, want_stats.iterations, "n={n} s={s}");
         }
     }
 

@@ -1,22 +1,19 @@
 //! Exact chains for the scan-validate component `SCU(0, 1)`
 //! (paper, Section 6.1.1, Lemmas 3–7).
 //!
-//! The system chain is **operator-first**: [`ScuSystemOperator`]
-//! generates rows on the fly from the closed-form `(a, b)` dynamics in
-//! the exact float schedule of the CSR construction, so the scalable
-//! paths ([`large_system_latency_with`], [`verify_lifting_chunk`])
-//! never materialize a matrix yet stay bit-identical to solving
-//! [`sparse_system_chain`] — which is retained, along with the dense
-//! [`SparseChain::to_dense`] conversions, as the small-`n` oracle.
-//! Beyond the exhaustive range, the lifting of Lemma 5 is verified by
-//! the symmetry-reduced kernel check ([`verify_lifting_by_symmetry`]),
-//! `O(n)` work per symmetry class with no `3ⁿ − 1` enumeration; the
-//! `Θ(n²)` classes split into [`orbit_chunks`] for parallel fan-out
-//! with byte-identical merged reports.
+//! The system chain is stored once, in CSR form
+//! ([`sparse_system_chain`]): the scalable paths
+//! ([`large_system_latency_with`], [`verify_lifting_chunk`]) solve and
+//! read it directly, and the dense [`SparseChain::to_dense`]
+//! conversions are the small-`n` oracle. Beyond the exhaustive range,
+//! the lifting of Lemma 5 is verified by the symmetry-reduced kernel
+//! check ([`verify_lifting_by_symmetry`]), `O(n)` work per symmetry
+//! class with no `3ⁿ − 1` enumeration; the `Θ(n²)` classes split into
+//! [`orbit_chunks`] for parallel fan-out with byte-identical merged
+//! reports.
 
 use pwf_markov::chain::{ChainError, MarkovChain};
 use pwf_markov::lifting::RowResidualScratch;
-use pwf_markov::operator::{stationary_operator, TransitionOperator};
 use pwf_markov::solve::{Metrics, PowerOptions, SolveStats};
 use pwf_markov::sparse::{SparseChain, SparseChainBuilder};
 use pwf_markov::stationary::{stationary_distribution, StationaryError};
@@ -244,133 +241,22 @@ pub fn sparse_system_chain(n: usize) -> Result<SparseChain<SystemState>, ChainEr
     b.build()
 }
 
-/// The matrix-free transition operator of the `SCU(0, 1)` system
-/// chain: rows are generated on the fly from the closed-form dynamics,
-/// in the exact interning order and float schedule of
-/// [`sparse_system_chain`], so operator solves are bit-identical to
-/// CSR solves while keeping **zero** transition rows in memory.
-///
-/// State `(a, b)` (with `(0, n)` unreachable and excluded) has index
-/// `b` when `a = 0`, and `n + (a−1)(n+1) − a(a−1)/2 + b` otherwise —
-/// the position the builder's `a`-major, `b`-minor enumeration assigns
-/// it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScuSystemOperator {
-    n: usize,
-    states: usize,
+/// Number of system states — and of symmetry classes of the
+/// individual chain — for `n` processes: `(n+1)(n+2)/2 − 1` (every
+/// `(a, b)` with `a + b ≤ n` except the unreachable `(0, n)`).
+fn class_count(n: usize) -> usize {
+    (n + 1) * (n + 2) / 2 - 1
 }
 
-impl ScuSystemOperator {
-    /// Operator for `n` processes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 1, "need at least one process");
-        ScuSystemOperator {
-            n,
-            states: (n + 1) * (n + 2) / 2 - 1,
-        }
-    }
-
-    /// Closed-form state index of `(a, b)` — the interning order of
-    /// [`sparse_system_chain`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `(a, b)` is not a valid system
-    /// state.
-    pub fn index(&self, a: usize, b: usize) -> usize {
-        let n = self.n;
-        debug_assert!(
-            a <= n && b <= n - a && (a, b) != (0, n),
-            "({a}, {b}) is not a system state for n = {n}"
-        );
-        if a == 0 {
-            b
-        } else {
-            // Block `a = 0` holds n states (b = 0..n, (0, n) skipped);
-            // block a ≥ 1 holds n − a + 1 states.
-            n + (a - 1) * (n + 1) - a * (a - 1) / 2 + b
-        }
-    }
-
-    /// Inverse of [`index`](Self::index): the state `(a, b)` at a given
-    /// index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= len()`.
-    pub fn state_of(&self, idx: usize) -> SystemState {
-        assert!(idx < self.states, "index {idx} out of bounds");
-        let n = self.n;
-        if idx < n {
-            return (0, idx);
-        }
-        let offset = |a: usize| n + (a - 1) * (n + 1) - a * (a - 1) / 2;
-        // Largest a ≥ 1 whose block starts at or before idx.
-        let mut lo = 1usize;
-        let mut hi = n;
-        while lo < hi {
-            let mid = (lo + hi).div_ceil(2);
-            if offset(mid) <= idx {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        (lo, idx - offset(lo))
-    }
-
-    /// All system states in index order.
-    pub fn states(&self) -> impl Iterator<Item = SystemState> + '_ {
-        let n = self.n;
-        (0..=n).flat_map(move |a| {
-            (0..=(n - a))
-                .map(move |b| (a, b))
-                .filter(move |&s| s != (0, n))
-        })
-    }
-}
-
-impl TransitionOperator for ScuSystemOperator {
-    fn len(&self) -> usize {
-        self.states
-    }
-
-    fn row_into(&self, i: usize, row: &mut Vec<(u32, f64)>) {
-        row.clear();
-        let (a, b) = self.state_of(i);
-        let n = self.n;
-        let nf = n as f64;
-        let c = n - a - b;
-        // Targets are emitted in ascending index order: the a−1 block
-        // precedes the a+1 block, and within a+1, b−1 < n−a−1 whenever
-        // both transitions exist (b < n − a exactly when c > 0).
-        if a > 0 {
-            row.push((self.index(a - 1, b) as u32, a as f64 / nf));
-        }
-        if b > 0 {
-            row.push((self.index(a + 1, b - 1) as u32, b as f64 / nf));
-        }
-        if c > 0 {
-            row.push((self.index(a + 1, n - a - 1) as u32, c as f64 / nf));
-        }
-    }
-}
-
-/// System latency for large `n` via the matrix-free operator and
+/// System latency for large `n` via [`sparse_system_chain`] and
 /// adaptive lazy power iteration — the scalable counterpart of
 /// [`exact_system_latency`]. Returns the latency together with the
 /// solver's work statistics; an optional metrics registry receives the
-/// solver's counters and gauges. Bit-identical to solving the CSR
-/// chain ([`ScuSystemOperator`] reproduces its rows exactly), without
-/// materializing it.
+/// solver's counters and gauges.
 ///
 /// # Errors
 ///
-/// Propagates solver convergence failures.
+/// Propagates chain-construction and solver-convergence failures.
 ///
 /// # Panics
 ///
@@ -380,30 +266,17 @@ pub fn large_system_latency_with(
     opts: &PowerOptions,
     metrics: Option<&Metrics>,
 ) -> Result<(f64, SolveStats), LatencyError> {
-    let op = ScuSystemOperator::new(n);
-    let solve = stationary_operator(&op, opts, metrics).map_err(LatencyError::Stationary)?;
-    let succ: Vec<f64> = op
+    let chain = sparse_system_chain(n)?;
+    let solve = chain.stationary_with(opts, metrics)?;
+    let succ: Vec<f64> = chain
         .states()
-        .map(|(a, b)| (n - a - b) as f64 / n as f64)
+        .iter()
+        .map(|&(a, b)| (n - a - b) as f64 / n as f64)
         .collect();
     Ok((
         latency_from_success_probabilities(&solve.pi, &succ),
         solve.stats,
     ))
-}
-
-/// System latency for large `n` — [`large_system_latency_with`] with
-/// adaptive stopping at the given budget/tolerance and no metrics.
-///
-/// # Errors
-///
-/// Propagates sparse-solver convergence failures.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn large_system_latency(n: usize, max_iters: usize, tol: f64) -> Result<f64, LatencyError> {
-    large_system_latency_with(n, &PowerOptions::new(max_iters, tol), None).map(|(w, _)| w)
 }
 
 /// Result of the symmetry-reduced kernel check of Lemma 5's lifting
@@ -443,7 +316,7 @@ impl SymmetryLiftingReport {
 }
 
 /// A contiguous run of symmetry classes (system states, in
-/// [`ScuSystemOperator`] index order) for one unit of lifting-check
+/// [`sparse_system_chain`] index order) for one unit of lifting-check
 /// work — the fan-out granule for `pwf_runner::parallel_map`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrbitChunk {
@@ -465,8 +338,9 @@ pub struct OrbitChunk {
 ///
 /// Panics if `n == 0` or `classes_per_chunk == 0`.
 pub fn orbit_chunks(n: usize, classes_per_chunk: usize) -> Vec<OrbitChunk> {
+    assert!(n >= 1, "need at least one process");
     assert!(classes_per_chunk >= 1, "chunks must be non-empty");
-    let total = ScuSystemOperator::new(n).len();
+    let total = class_count(n);
     let mut chunks = Vec::with_capacity(total.div_ceil(classes_per_chunk));
     let mut first = 0;
     while first < total {
@@ -481,12 +355,14 @@ pub fn orbit_chunks(n: usize, classes_per_chunk: usize) -> Vec<OrbitChunk> {
     chunks
 }
 
-/// The matrix-free kernel check over one [`OrbitChunk`]: for each
-/// class `(a, b)` in the chunk, collapses the rows of the canonical
-/// representative (`a`×`Read`, `b`×`OldCas`, rest `CCas`) and
-/// `samples_per_class` seeded random permutations of it through the
-/// lifting map, and compares them against the implicit system row —
-/// no chain is materialized on either side.
+/// The kernel check over one [`OrbitChunk`]: for each class `(a, b)`
+/// in the chunk, collapses the rows of the canonical representative
+/// (`a`×`Read`, `b`×`OldCas`, rest `CCas`) and `samples_per_class`
+/// seeded random permutations of it through the lifting map, and
+/// compares them against row `(a, b)` of `chain`, which must be
+/// [`sparse_system_chain`]`(chunk.n)` — built once by the caller and
+/// shared by every chunk of that `n`. The individual chain is never
+/// materialized.
 ///
 /// Each class draws from its own RNG stream
 /// (`seed ⊕ class · 0x9E3779B97F4A7C15`), so the permutations sampled
@@ -495,16 +371,22 @@ pub fn orbit_chunks(n: usize, classes_per_chunk: usize) -> Vec<OrbitChunk> {
 ///
 /// # Panics
 ///
-/// Panics if the chunk is out of range for its `n`.
+/// Panics if `chain` does not have the class count of `chunk.n`, or
+/// the chunk is out of range for it.
 pub fn verify_lifting_chunk(
+    chain: &SparseChain<SystemState>,
     chunk: &OrbitChunk,
     samples_per_class: usize,
     seed: u64,
 ) -> SymmetryLiftingReport {
     let n = chunk.n;
-    let op = ScuSystemOperator::new(n);
+    assert_eq!(
+        chain.len(),
+        class_count(n),
+        "chain is not the n = {n} system chain"
+    );
     assert!(
-        chunk.first_class + chunk.classes <= op.len(),
+        chunk.first_class + chunk.classes <= chain.len(),
         "chunk exceeds the class count"
     );
     let inv_n = 1.0 / n as f64;
@@ -513,7 +395,7 @@ pub fn verify_lifting_chunk(
     let mut states_checked = 0usize;
     let mut collapsed: Vec<(usize, f64)> = Vec::with_capacity(4);
     for class in chunk.first_class..chunk.first_class + chunk.classes {
-        let (a, b) = op.state_of(class);
+        let (a, b) = *chain.state(class);
         let c = n - a - b;
         let mut rng = pwf_rng::rngs::StdRng::seed_from_u64(
             seed ^ (class as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -533,14 +415,15 @@ pub fn verify_lifting_chunk(
             collapsed.clear();
             for i in 0..n {
                 let (next, _) = individual_successor(&x, i);
-                let (ta, tb) = lift(&next);
-                let target = op.index(ta, tb);
+                let target = chain
+                    .state_index(&lift(&next))
+                    .expect("lifted successors are system states");
                 match collapsed.iter_mut().find(|(t, _)| *t == target) {
                     Some((_, p)) => *p += inv_n,
                     None => collapsed.push((target, inv_n)),
                 }
             }
-            worst = worst.max(scratch.residual(&op, class, &collapsed));
+            worst = worst.max(scratch.residual(chain, class, &collapsed));
             states_checked += 1;
         }
     }
@@ -570,9 +453,8 @@ pub fn verify_lifting_chunk(
 /// `O(n³ · samples)` for the `Θ(n²)` classes — at `n = 100` that is
 /// 5150 classes against 3¹⁰⁰ − 1 ≈ 5 · 10⁴⁷ individual states.
 ///
-/// The check is fully matrix-free (it runs
-/// [`verify_lifting_chunk`] over a single all-classes [`OrbitChunk`]):
-/// system rows come from [`ScuSystemOperator`], so no chain is built.
+/// It builds [`sparse_system_chain`]`(n)` once and runs
+/// [`verify_lifting_chunk`] over a single all-classes [`OrbitChunk`].
 /// For parallel fan-out, split the classes with [`orbit_chunks`] and
 /// [`merge`](SymmetryLiftingReport::merge) the per-chunk reports —
 /// per-class RNG seeding makes any chunking byte-identical to this
@@ -580,8 +462,7 @@ pub fn verify_lifting_chunk(
 ///
 /// # Errors
 ///
-/// Infallible since the matrix-free rewrite; the `Result` is kept for
-/// call-site stability.
+/// Propagates chain-construction errors (none occur for valid `n`).
 ///
 /// # Panics
 ///
@@ -591,12 +472,18 @@ pub fn verify_lifting_by_symmetry(
     samples_per_class: usize,
     seed: u64,
 ) -> Result<SymmetryLiftingReport, LatencyError> {
+    let chain = sparse_system_chain(n)?;
     let chunk = OrbitChunk {
         n,
         first_class: 0,
-        classes: ScuSystemOperator::new(n).len(),
+        classes: chain.len(),
     };
-    Ok(verify_lifting_chunk(&chunk, samples_per_class, seed))
+    Ok(verify_lifting_chunk(
+        &chain,
+        &chunk,
+        samples_per_class,
+        seed,
+    ))
 }
 
 /// Per-state success probability in the system chain: a step from
@@ -840,11 +727,17 @@ mod tests {
 mod sparse_tests {
     use super::*;
 
+    fn large_system_latency(n: usize, max_iters: usize, tol: f64) -> f64 {
+        large_system_latency_with(n, &PowerOptions::new(max_iters, tol), None)
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn sparse_chain_matches_dense_latency() {
         for n in [4usize, 16, 64] {
             let dense = exact_system_latency(n).unwrap();
-            let sparse = large_system_latency(n, 200_000, 1e-12).unwrap();
+            let sparse = large_system_latency(n, 200_000, 1e-12);
             assert!(
                 (dense - sparse).abs() / dense < 1e-6,
                 "n={n}: dense {dense} vs sparse {sparse}"
@@ -865,7 +758,7 @@ mod sparse_tests {
     fn large_n_latency_continues_sqrt_trend() {
         // n = 256 is past the dense cap; W/√n must stay in the same
         // narrow band the dense values occupy.
-        let w = large_system_latency(256, 400_000, 1e-11).unwrap();
+        let w = large_system_latency(256, 400_000, 1e-11);
         let ratio = w / 16.0;
         assert!(ratio > 1.6 && ratio < 2.0, "W/sqrt(n) = {ratio}");
     }
@@ -880,51 +773,22 @@ mod sparse_tests {
     }
 
     #[test]
-    fn operator_index_matches_csr_interning_order() {
-        for n in [1usize, 2, 5, 12, 30] {
-            let op = ScuSystemOperator::new(n);
-            let chain = sparse_system_chain(n).unwrap();
-            assert_eq!(op.len(), chain.len(), "n={n}");
-            for (idx, &(a, b)) in chain.states().iter().enumerate() {
-                assert_eq!(op.index(a, b), idx, "n={n} state ({a}, {b})");
-                assert_eq!(op.state_of(idx), (a, b), "n={n} idx {idx}");
-            }
-            let listed: Vec<SystemState> = op.states().collect();
-            assert_eq!(&listed, chain.states(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn operator_rows_are_bitwise_identical_to_csr_rows() {
-        for n in [1usize, 3, 8, 25] {
-            let op = ScuSystemOperator::new(n);
-            let chain = sparse_system_chain(n).unwrap();
-            let mut row = Vec::new();
-            for i in 0..chain.len() {
-                op.row_into(i, &mut row);
-                let want: Vec<(u32, f64)> = chain.row(i).collect();
-                assert_eq!(row, want, "n={n} row {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn operator_latency_is_bit_exact_vs_csr_solve() {
-        // The matrix-free large_system_latency_with must reproduce the
-        // historical CSR solve bit for bit — goldens depend on it.
-        let opts = PowerOptions::new(400_000, 1e-12);
-        for n in [4usize, 33, 100] {
-            let chain = sparse_system_chain(n).unwrap();
-            let solve = chain.stationary_with(&opts, None).unwrap();
-            let succ: Vec<f64> = chain
-                .states()
-                .iter()
-                .map(|&(a, b)| (n - a - b) as f64 / n as f64)
-                .collect();
-            let want = latency_from_success_probabilities(&solve.pi, &succ);
-            let (got, stats) = large_system_latency_with(n, &opts, None).unwrap();
-            assert_eq!(got.to_bits(), want.to_bits(), "n={n}");
-            assert_eq!(stats.iterations, solve.stats.iterations, "n={n}");
+    fn large_system_latency_is_pinned_bitwise() {
+        // W and the iteration count at the options every caller uses
+        // (serve, pwfbench's trace cross-check, the experiments). Served
+        // bodies and goldens print these numbers, so any change to the
+        // chain's interning order, row layout or the solver's float
+        // schedule must show up here first.
+        let opts = PowerOptions::new(500_000, 1e-12);
+        for (n, bits, iterations) in [
+            (8usize, 0x4016_1f5c_b564_b453_u64, 208usize),
+            (33, 0x4025_8f0d_8faa_8373, 915),
+            (64, 0x402d_9854_7b9b_9db2, 1806),
+            (100, 0x4032_5a42_a101_a8f8, 2846),
+        ] {
+            let (w, stats) = large_system_latency_with(n, &opts, None).unwrap();
+            assert_eq!(w.to_bits(), bits, "n={n}: W = {w}");
+            assert_eq!(stats.iterations, iterations, "n={n}");
         }
     }
 
@@ -984,6 +848,7 @@ mod lifting_tests {
         // independent, and merge is max/sum.
         let n = 9;
         let serial = verify_lifting_by_symmetry(n, 3, 0xFEED).unwrap();
+        let chain = sparse_system_chain(n).unwrap();
         for chunk_size in [1usize, 7, 16, 1000] {
             let chunks = orbit_chunks(n, chunk_size);
             assert_eq!(
@@ -993,7 +858,7 @@ mod lifting_tests {
             );
             let merged = chunks
                 .iter()
-                .map(|c| verify_lifting_chunk(c, 3, 0xFEED))
+                .map(|c| verify_lifting_chunk(&chain, c, 3, 0xFEED))
                 .reduce(|acc, r| acc.merge(&r))
                 .unwrap();
             assert_eq!(merged.classes, serial.classes);
@@ -1008,7 +873,7 @@ mod lifting_tests {
 
     #[test]
     fn symmetry_check_verifies_lifting_at_n_100() {
-        // The acceptance bar for the matrix-free engine: Lemma 5
+        // The acceptance bar for the symmetry-reduced check: Lemma 5
         // verified at n = 100 (5150 classes, 3¹⁰⁰ − 1 individual
         // states) with residual at float-rounding level.
         let report = verify_lifting_by_symmetry(100, 1, 0xD00D).unwrap();

@@ -3,12 +3,11 @@
 //!
 //! Two regimes, cross-checked where they overlap. Up to `n = 7` the
 //! dense oracle enumerates all `3ⁿ − 1` individual states and verifies
-//! the lifting exhaustively; past that the matrix-free engine takes
-//! over — symmetry-reduced kernel verification against the implicit
-//! [`pwf_algorithms::chains::scu::ScuSystemOperator`] plus the
-//! adaptive iterative solver — and the sweep continues to `n = 100`
-//! (≈ 5·10⁴⁷ virtual individual states; no chain is materialized on
-//! either side).
+//! the lifting exhaustively; past that the sparse engine takes over —
+//! symmetry-reduced kernel verification against the stored system
+//! chain plus the adaptive iterative solver — and the sweep continues
+//! to `n = 100` (≈ 5·10⁴⁷ virtual individual states, none of them
+//! enumerated).
 //!
 //! Parallelism is *orbit-class* fan-out: every size's symmetry classes
 //! are split into fixed-size [`scu::orbit_chunks`] and the flat chunk
@@ -53,13 +52,28 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     let opts = PowerOptions::new(500_000, 1e-12);
 
     // Flat orbit-chunk work list across all sizes: good load balance
-    // (n = 100 alone is 81 chunks) and a deterministic merge.
-    let chunks: Vec<scu::OrbitChunk> = sizes
+    // (n = 100 alone is 81 chunks) and a deterministic merge. Each
+    // size's system chain is built once and shared by its chunks.
+    let chains = sizes
         .iter()
-        .flat_map(|&n| scu::orbit_chunks(n, CHUNK_CLASSES))
+        .map(|&n| scu::sparse_system_chain(n))
+        .collect::<Result<Vec<_>, _>>()?;
+    let chunks: Vec<(usize, scu::OrbitChunk)> = sizes
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &n)| {
+            scu::orbit_chunks(n, CHUNK_CLASSES)
+                .into_iter()
+                .map(move |c| (i, c))
+        })
         .collect();
-    let chunk_reports = parallel_map(cfg.jobs, &chunks, |chunk| {
-        scu::verify_lifting_chunk(chunk, SAMPLES_PER_CLASS, cfg.sub_seed(chunk.n as u64))
+    let chunk_reports = parallel_map(cfg.jobs, &chunks, |(i, chunk)| {
+        scu::verify_lifting_chunk(
+            &chains[*i],
+            chunk,
+            SAMPLES_PER_CLASS,
+            cfg.sub_seed(chunk.n as u64),
+        )
     });
 
     // Merge per size, in input order, then attach the solve.
@@ -77,7 +91,7 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     }
 
     out.note("");
-    out.note("dense oracle vs matrix-free engine (both run up to the 3^n-1 wall):");
+    out.note("dense oracle vs sparse engine (both run up to the 3^n-1 wall):");
     out.header(&["n", "flow res", "pi res", "W dense", "W sparse", "rel err"]);
     for (n, large, dense) in &results {
         let Some(dense) = dense else { continue };
@@ -102,7 +116,7 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     }
 
     out.note("");
-    out.note("matrix-free sweep: symmetry-reduced kernel verification + iterative");
+    out.note("sparse sweep: symmetry-reduced kernel verification + iterative");
     out.note("solver, orbit chunks fanned out on --jobs threads (one canonical");
     out.note("representative per orbit plus sampled permutations):");
     out.header(&[
@@ -143,9 +157,9 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     out.note("the kernel condition sum_{y: f(y)=j} P'(x,y) = P(f(x),j) is invariant");
     out.note("under process permutation, so checking one representative per orbit");
     out.note("(plus random permutations as a guard) verifies the full 3^n-1 state");
-    out.note("lifting without enumerating it. Rows on both sides come from implicit");
-    out.note("operators, so Lemma 5 is verified at n = 100 (kernel residual at");
-    out.note("float rounding, gated at 1e-12) with no matrix in memory, and with it");
+    out.note("lifting without enumerating it. Collapsed rows are compared with the");
+    out.note("stored system chain, so Lemma 5 is verified at n = 100 (kernel residual");
+    out.note("at float rounding, gated at 1e-12) without the individual chain, and with it");
     out.note("the fairness identity W_i = n*W (Lemma 7).");
     Ok(())
 }

@@ -1,13 +1,13 @@
-//! `exp_markov_bench` — the perf gate for the matrix-free Markov
-//! engine: times the dense direct-solve SCU analysis against the
-//! implicit-operator pipeline at the sizes both can run, sweeps the
-//! matrix-free engine to `n = 100`, and records the trajectory in
-//! `BENCH_markov.json` so speedups are tracked across PRs.
+//! `exp_markov_bench` — the perf gate for the sparse Markov engine:
+//! times the dense direct-solve SCU analysis against the sparse
+//! pipeline at the sizes both can run, sweeps the sparse engine to
+//! `n = 100`, and records the trajectory in `BENCH_markov.json` so
+//! speedups are tracked across PRs.
 //!
 //! Wall-clock measurement is hardware-dependent, so the experiment
 //! registers `deterministic: false` and `pwf check` skips it; the
-//! agreement check (dense and operator `W` within `1e-6`), the
-//! crossover gate (operator pipeline strictly faster at the dense
+//! agreement check (dense and sparse `W` within `1e-6`), the
+//! crossover gate (sparse pipeline strictly faster at the dense
 //! wall), the kernel-residual gate (`≤ 1e-12` at `n ≥ 100`) and the
 //! positive-throughput gate are what make it a test rather than a
 //! report.
@@ -29,8 +29,7 @@ use pwf_runner::{fmt, ExpConfig, ExpResult, FnExperiment, ReportBuilder};
 /// The registered experiment.
 pub const EXP: FnExperiment = FnExperiment {
     name: "exp_markov_bench",
-    description:
-        "Perf gate: dense vs matrix-free SCU analysis wall time, BENCH_markov.json trajectory",
+    description: "Perf gate: dense vs sparse SCU analysis wall time, BENCH_markov.json trajectory",
     sizes: "n=5..100",
     deterministic: false,
     body: fill,
@@ -48,7 +47,7 @@ fn size_record(
     report: &LargeScuReport,
     dense: Option<(f64, f64, f64)>,
 ) -> Json {
-    // Solver throughput: implicit row generations per second during
+    // Solver throughput: CSR row applications per second during
     // the stationary solve (states × iterations / solve wall time).
     let states_per_sec = report.system_states as f64 * report.solver.iterations as f64
         / (report.solver.wall_ms / 1e3);
@@ -70,7 +69,7 @@ fn size_record(
 
 fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     out.note("markov engine benchmark: full SCU analysis (chains + lifting + W),");
-    out.note("dense direct solve vs matrix-free operator pipeline.");
+    out.note("dense direct solve vs sparse CSR pipeline.");
     out.header(&[
         "n",
         "dense ms",
@@ -184,7 +183,7 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     out.note("");
     out.note("trajectory written to BENCH_markov.json.");
     out.note(&format!(
-        "lifting verified matrix-free at n = {} (kernel residual {}, {} classes).",
+        "lifting verified by symmetry at n = {} (kernel residual {}, {} classes).",
         large_report.n,
         fmt(large_report.kernel_residual),
         large_report.classes
@@ -192,11 +191,11 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
 
     if let Some((n, speedup)) = wall_speedup {
         // The crossover gate: at the largest dense size run, the
-        // iterative operator pipeline must beat O(states^3)
+        // iterative sparse pipeline must beat O(states^3)
         // elimination outright.
         if speedup <= 1.0 {
             return Err(format!(
-                "operator pipeline is not faster than dense at n = {n} (speedup {speedup:.2}x)"
+                "sparse pipeline is not faster than dense at n = {n} (speedup {speedup:.2}x)"
             )
             .into());
         }

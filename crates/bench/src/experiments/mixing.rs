@@ -4,14 +4,11 @@
 //!
 //! Runs on the sparse engine (`O(nnz)` per distribution step instead
 //! of a dense matrix–vector product), with the dense path cross-checked
-//! at the smallest size and a matrix-free row at `n = 128` where no
-//! chain is stored at all; the per-size measurements are independent
-//! and fan out on `cfg.jobs` threads.
+//! at the smallest size; the per-size measurements are independent and
+//! fan out on `cfg.jobs` threads.
 
-use pwf_algorithms::chains::scu::ScuSystemOperator;
 use pwf_algorithms::chains::{fai, scu};
-use pwf_markov::mixing::{lazy_mixing_time, operator_lazy_mixing_time};
-use pwf_markov::operator::{stationary_operator, TransitionOperator};
+use pwf_markov::mixing::{lazy_mixing_time, sparse_lazy_mixing_time};
 use pwf_markov::solve::PowerOptions;
 use pwf_markov::sparse::SparseChain;
 use pwf_runner::{fmt, parallel_map, ExpConfig, ExpResult, FnExperiment, ReportBuilder};
@@ -35,7 +32,7 @@ fn sparse_t_mix<S: Clone + Eq + Hash>(
     let solve = chain
         .stationary_with(&PowerOptions::new(500_000, 1e-12), None)
         .map_err(|e| e.to_string())?;
-    let report = operator_lazy_mixing_time(chain, &solve.pi, starts, 0.01, 200_000);
+    let report = sparse_lazy_mixing_time(chain, &solve.pi, starts, 0.01, 200_000);
     report.mixing_time.ok_or_else(|| "budget generous".into())
 }
 
@@ -45,7 +42,7 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
 
     out.note("SCU(0,1) system chain:");
     out.header(&["n", "states", "t_mix", "t_mix/sqrt(n)"]);
-    let scu_sizes = [4usize, 8, 16, 32, 64];
+    let scu_sizes = [4usize, 8, 16, 32, 64, 128];
     let scu_rows = parallel_map(cfg.jobs, &scu_sizes, |&n| -> Result<_, String> {
         let chain = scu::sparse_system_chain(n).map_err(|e| e.to_string())?;
         let fresh = chain.state_index(&(n, 0)).expect("initial state");
@@ -58,26 +55,6 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
         out.row(&[
             n.to_string(),
             states.to_string(),
-            t.to_string(),
-            fmt(t as f64 / (n as f64).sqrt()),
-        ]);
-    }
-
-    // Past the stored-chain range, the implicit operator carries the
-    // same measurement with zero resident rows.
-    {
-        let n = 128;
-        let op = ScuSystemOperator::new(n);
-        let pi = stationary_operator(&op, &PowerOptions::new(500_000, 1e-12), None)
-            .map_err(|e| e.to_string())?
-            .pi;
-        let starts = [op.index(n, 0), op.index(1, n - 1)];
-        let t = operator_lazy_mixing_time(&op, &pi, &starts, 0.01, 200_000)
-            .mixing_time
-            .ok_or("budget generous")?;
-        out.row(&[
-            format!("{n} (matrix-free)"),
-            op.len().to_string(),
             t.to_string(),
             fmt(t as f64 / (n as f64).sqrt()),
         ]);

@@ -3,9 +3,8 @@
 //! and the paper's `α·s·√n` model. Each `(n, s)` point is an
 //! independent chain solve plus a simulation run; the sweep fans out
 //! on `cfg.jobs` threads, the sparse engine extends it to `n = 32`,
-//! and the implicit [`scan::ScanSystemOperator`] carries a matrix-free
-//! point to `n = 64` cross-checked against the SCU chain (at `s = 1`
-//! the two models coincide).
+//! and a chain-only point at `n = 64` is cross-checked against the SCU
+//! chain (at `s = 1` the two models coincide).
 
 use pwf_algorithms::chains::{scan, scu};
 use pwf_core::{AlgorithmSpec, SimExperiment};
@@ -61,22 +60,21 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
             fmt(chain / (s as f64 * (n as f64).sqrt())),
         ]);
     }
-    // Matrix-free extension: the implicit scan operator at (64, 1),
-    // where no chain fits comfortably and no simulation is needed —
+    // Chain-only extension at (64, 1), where no simulation is needed —
     // at s = 1 the scan chain collapses to the SCU(0,1) system chain,
-    // so the independent SCU operator solve is an exact oracle.
+    // so the independent SCU chain solve is an exact oracle.
     let opts = PowerOptions::new(500_000, 1e-12);
-    let (w_scan, stats) = scan::operator_system_latency_with(64, 1, &opts, None)?;
+    let (w_scan, stats) = scan::exact_system_latency_with(64, 1, &opts, None)?;
     let (w_scu, _) = scu::large_system_latency_with(64, &opts, None)?;
     let rel = (w_scan - w_scu).abs() / w_scu;
     if rel > 1e-9 {
         return Err(format!(
-            "scan operator W {w_scan} disagrees with SCU oracle {w_scu} at (64, 1): rel {rel:e}"
+            "scan chain W {w_scan} disagrees with SCU oracle {w_scu} at (64, 1): rel {rel:e}"
         )
         .into());
     }
     out.row(&[
-        "64 (matrix-free)".into(),
+        "64 (chain only)".into(),
         "1".into(),
         fmt(w_scan),
         "-".into(),
@@ -85,10 +83,10 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     ]);
     out.note("");
     out.note(&format!(
-        "matrix-free (64, 1) solved in {} iterations with no stored chain;",
+        "chain-only (64, 1) solved in {} iterations with no simulation;",
         stats.iterations
     ));
-    out.note("'rel err' on that row is vs the independent SCU operator solve.");
+    out.note("'rel err' on that row is vs the independent SCU chain solve.");
 
     out.note("");
     out.note("the fine-grained chain matches simulation to ~1%, confirming both the");

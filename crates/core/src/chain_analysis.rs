@@ -210,12 +210,11 @@ pub struct LargeScuReport {
     pub solver: SolveStats,
 }
 
-/// Runs the scalable SCU analysis at `n` processes: matrix-free
-/// system operator, adaptive-power-iteration latency, and the
-/// symmetry-reduced kernel verification of Lemma 5's lifting —
-/// no chain is materialized on either side. Practical far past the
-/// dense oracle (`n` in the hundreds; the individual chain is never
-/// enumerated).
+/// Runs the scalable SCU analysis at `n` processes: the sparse system
+/// chain, adaptive-power-iteration latency, and the symmetry-reduced
+/// kernel verification of Lemma 5's lifting against it. Practical far
+/// past the dense oracle (`n` in the hundreds; the individual chain is
+/// never enumerated).
 ///
 /// # Errors
 ///
@@ -236,7 +235,7 @@ pub fn analyze_scu_large(
 }
 
 /// Assembles a [`LargeScuReport`] from a pre-computed (possibly
-/// chunk-merged) lifting report plus a fresh matrix-free stationary
+/// chunk-merged) lifting report plus a fresh sparse stationary
 /// solve — the entry point for callers that fan the kernel check out
 /// over [`scu::orbit_chunks`] in parallel and
 /// [`merge`](scu::SymmetryLiftingReport::merge) the per-chunk reports.

@@ -17,7 +17,6 @@ use pwf_obs::Metrics;
 
 use crate::chain::MarkovChain;
 use crate::linalg::{self, Matrix};
-use crate::operator::TransitionOperator;
 use crate::solve::{record_solve, GaussSeidelOptions, SolveStats};
 use crate::sparse::SparseChain;
 use crate::stationary::StationaryError;
@@ -103,41 +102,9 @@ pub fn sparse_hitting_times<S: Clone + Eq + Hash>(
     if !structure::is_irreducible_sparse(chain) {
         return Err(StationaryError::NotIrreducible);
     }
-    operator_hitting_times(chain, target, opts, metrics)
-}
-
-/// Expected hitting times to `target` on any [`TransitionOperator`]
-/// by Gauss–Seidel sweeps over the reduced system — the matrix-free
-/// core behind [`sparse_hitting_times`], which for a CSR chain sweeps
-/// the identical float schedule.
-///
-/// Irreducibility is **assumed, not checked**: an implicit operator
-/// has no materialized adjacency to run SCC over, and the paper's
-/// generated chains are irreducible by construction. If some state
-/// cannot reach `target` the sweep diverges and the budget error is
-/// returned. Callers with a stored chain get the check via
-/// [`sparse_hitting_times`].
-///
-/// # Errors
-///
-/// Returns [`StationaryError::NotConverged`] if the largest in-sweep
-/// update stays above `opts.tol` for `opts.max_sweeps` sweeps.
-///
-/// # Panics
-///
-/// Panics if `target >= op.len()`.
-pub fn operator_hitting_times<O: TransitionOperator + ?Sized>(
-    op: &O,
-    target: usize,
-    opts: &GaussSeidelOptions,
-    metrics: Option<&Metrics>,
-) -> Result<Vec<f64>, StationaryError> {
-    let n = op.len();
-    assert!(target < n, "target state {target} out of bounds ({n})");
 
     let start = Instant::now();
     let mut h = vec![0.0; n]; // h[target] pinned to 0 during sweeps
-    let mut row: Vec<(u32, f64)> = Vec::new();
     let mut change = f64::INFINITY;
     for sweep in 1..=opts.max_sweeps {
         change = 0.0;
@@ -148,8 +115,7 @@ pub fn operator_hitting_times<O: TransitionOperator + ?Sized>(
             // h_i = (1 + Σ_{k ∉ {target, i}} p_ik h_k) / (1 − p_ii).
             let mut acc = 1.0;
             let mut self_p = 0.0;
-            op.row_into(i, &mut row);
-            for &(j, p) in &row {
+            for (j, p) in chain.row(i) {
                 let j = j as usize;
                 if j == target {
                     continue;
@@ -169,8 +135,7 @@ pub fn operator_hitting_times<O: TransitionOperator + ?Sized>(
         if change < opts.tol {
             // Return time of the target from the converged vector.
             let mut ret = 1.0;
-            op.row_into(target, &mut row);
-            for &(j, p) in &row {
+            for (j, p) in chain.row(target) {
                 let j = j as usize;
                 if j != target {
                     ret += p * h[j];
@@ -363,22 +328,6 @@ mod tests {
             .counters
             .iter()
             .any(|(n, v)| n == "markov.hitting.solves" && *v == 1));
-    }
-
-    #[test]
-    fn operator_solver_is_bit_exact_vs_sparse_path() {
-        let mut b = crate::sparse::SparseChainBuilder::new();
-        for i in 0..40usize {
-            b.transition(i, (i + 1) % 40, 0.6)
-                .transition(i, (i + 3) % 40, 0.4);
-        }
-        let c = b.build().unwrap();
-        let opts = GaussSeidelOptions::default();
-        for target in [0usize, 17, 39] {
-            let via_sparse = sparse_hitting_times(&c, target, &opts, None).unwrap();
-            let via_op = operator_hitting_times(&c, target, &opts, None).unwrap();
-            assert_eq!(via_sparse, via_op, "target {target}");
-        }
     }
 
     #[test]

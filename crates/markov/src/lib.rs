@@ -16,21 +16,16 @@
 //!   homomorphism and Lemma 1's stationary collapse ([`lifting`]).
 //!
 //! Chains here are exact constructions from algorithm state spaces.
-//! The substrate is **operator-first**: the iterative solvers — lazy
+//! Every chain is stored in one representation, the CSR
+//! [`sparse::SparseChain`], and the iterative solvers run on it: lazy
 //! power iteration with adaptive stopping
-//! ([`operator::stationary_operator`]), Gauss–Seidel for hitting-time
-//! systems ([`hitting::operator_hitting_times`]), and total-variation
-//! mixing bounds ([`mixing::operator_lazy_mixing_time`]) — are generic
-//! over the implicit [`operator::TransitionOperator`], which generates
-//! `y = x·P` rows on the fly from state encodings. The CSR-backed
-//! [`sparse::SparseChain`] implements the trait by delegating to its
-//! own kernels, so operator solves on a stored chain are bit-identical
-//! to the historical sparse paths and the sparse engine remains the
-//! small-`n` oracle for implicit operators. Lifting claims are
-//! verified row-by-row on stored chains
-//! ([`lifting::kernel_residual_sparse`]) or matrix-free from
-//! combinatorially enumerated orbit representatives
-//! ([`lifting::RowResidualScratch`]). The dense
+//! ([`sparse::SparseChain::stationary_with`]), Gauss–Seidel for
+//! hitting-time systems ([`hitting::sparse_hitting_times`]), and
+//! total-variation mixing bounds
+//! ([`mixing::sparse_lazy_mixing_time`]). Lifting claims are verified
+//! row-by-row on stored chains ([`lifting::kernel_residual_sparse`])
+//! or from combinatorially enumerated orbit representatives against a
+//! stored base chain ([`lifting::RowResidualScratch`]). The dense
 //! [`chain::MarkovChain`] with direct `O(n³)` solves ([`linalg`]) is
 //! retained as the cross-check oracle for small `n`; the two convert
 //! via [`sparse::SparseChain::to_dense`] and
@@ -63,7 +58,6 @@ pub mod hitting;
 pub mod lifting;
 pub mod linalg;
 pub mod mixing;
-pub mod operator;
 pub mod solve;
 pub mod sparse;
 pub mod stationary;
@@ -71,13 +65,12 @@ pub mod structure;
 
 pub use chain::{ChainBuilder, ChainError, MarkovChain};
 pub use flow::ErgodicFlow;
-pub use hitting::{hitting_times, operator_hitting_times, return_time, sparse_hitting_times};
+pub use hitting::{hitting_times, return_time, sparse_hitting_times};
 pub use lifting::{
     kernel_residual_sparse, verify_lifting, LiftingError, LiftingReport, RowResidualScratch,
 };
 pub use linalg::{LinalgError, Matrix};
-pub use mixing::{lazy_mixing_time, operator_lazy_mixing_time, total_variation, MixingReport};
-pub use operator::{stationary_operator, TransitionOperator};
+pub use mixing::{lazy_mixing_time, sparse_lazy_mixing_time, total_variation, MixingReport};
 pub use solve::{GaussSeidelOptions, PowerOptions, SolveStats};
 pub use sparse::{SparseChain, SparseChainBuilder, StationarySolve};
 pub use stationary::{return_times, stationary_distribution, StationaryError};

@@ -21,7 +21,6 @@ use std::hash::Hash;
 
 use crate::chain::MarkovChain;
 use crate::flow::ErgodicFlow;
-use crate::operator::TransitionOperator;
 use crate::sparse::SparseChain;
 use crate::stationary::StationaryError;
 
@@ -266,9 +265,8 @@ where
     Ok(worst)
 }
 
-/// Reusable scratch for matrix-free kernel checks: compares
-/// caller-collapsed lifted rows against an implicit base operator's
-/// rows, one row at a time.
+/// Reusable scratch for row-at-a-time kernel checks: compares
+/// caller-collapsed lifted rows against a stored base chain's rows.
 ///
 /// This is the orbit-enumeration counterpart of
 /// [`kernel_residual_sparse`]: instead of materializing the lifted
@@ -278,14 +276,12 @@ where
 /// matrices), and hands the collapsed row here. The comparison uses
 /// the same scatter/subtract/reset arithmetic as the stored-chain
 /// check — `O(row support)` per call with no allocation after
-/// warm-up — against a base row generated on the fly, so neither
-/// chain is ever stored.
+/// warm-up — so the lifted chain is never stored.
 #[derive(Debug, Default)]
 pub struct RowResidualScratch {
     /// Base-indexed accumulator, kept all-zero between calls.
     acc: Vec<f64>,
     touched: Vec<usize>,
-    row: Vec<(u32, f64)>,
 }
 
 impl RowResidualScratch {
@@ -299,15 +295,15 @@ impl RowResidualScratch {
     /// `collapsed` — the lifted row `Σ_{y : f(y) = j} P'(x, y)` of
     /// some state `x` with `f(x) = base_row`, given as
     /// `(base_target, prob)` pairs (any order, duplicates allowed and
-    /// summed) — against the base operator's row `P(base_row, ·)`,
+    /// summed) — against the base chain's row `P(base_row, ·)`,
     /// over the union of supports.
     ///
     /// # Panics
     ///
     /// Panics if `base_row` or any collapsed target is out of bounds.
-    pub fn residual<O: TransitionOperator + ?Sized>(
+    pub fn residual<S: Clone + Eq + Hash>(
         &mut self,
-        base: &O,
+        base: &SparseChain<S>,
         base_row: usize,
         collapsed: &[(usize, f64)],
     ) -> f64 {
@@ -323,8 +319,7 @@ impl RowResidualScratch {
             }
             self.acc[j] += p;
         }
-        base.row_into(base_row, &mut self.row);
-        for &(j, p) in &self.row {
+        for (j, p) in base.row(base_row) {
             let j = j as usize;
             if self.acc[j] == 0.0 {
                 self.touched.push(j);

@@ -9,7 +9,7 @@
 use std::hash::Hash;
 
 use crate::chain::MarkovChain;
-use crate::operator::TransitionOperator;
+use crate::sparse::SparseChain;
 use crate::stationary::{stationary_distribution, StationaryError};
 
 /// Total-variation distance `½‖p − q‖₁` between two distributions.
@@ -97,19 +97,17 @@ pub fn lazy_mixing_time<S: Clone + Eq + Hash>(
     })
 }
 
-/// Measures the ε-mixing time of the lazy version of any
-/// [`TransitionOperator`] (a stored [`crate::sparse::SparseChain`] or
-/// an implicit operator) from the worst of the provided start states,
-/// against a caller-supplied stationary distribution `pi` (so one
-/// solve can be shared across calls). Each step is one operator
-/// application (`O(nnz)` work, rows generated on the fly).
+/// Measures the ε-mixing time of the lazy version of a sparse chain
+/// from the worst of the provided start states, against a
+/// caller-supplied stationary distribution `pi` (so one solve can be
+/// shared across calls). Each step is one CSR step (`O(nnz)` work).
 ///
 /// # Panics
 ///
 /// Panics if `starts` is empty, any start is out of bounds,
-/// `epsilon <= 0`, or `pi.len() != op.len()`.
-pub fn operator_lazy_mixing_time<O: TransitionOperator + ?Sized>(
-    op: &O,
+/// `epsilon <= 0`, or `pi.len() != chain.len()`.
+pub fn sparse_lazy_mixing_time<S: Clone + Eq + Hash>(
+    chain: &SparseChain<S>,
     pi: &[f64],
     starts: &[usize],
     epsilon: f64,
@@ -117,7 +115,7 @@ pub fn operator_lazy_mixing_time<O: TransitionOperator + ?Sized>(
 ) -> MixingReport {
     assert!(!starts.is_empty(), "need at least one start state");
     assert!(epsilon > 0.0, "epsilon must be positive");
-    let n = op.len();
+    let n = chain.len();
     assert_eq!(pi.len(), n, "stationary distribution length mismatch");
     assert!(starts.iter().all(|&s| s < n), "start state out of bounds");
 
@@ -137,7 +135,7 @@ pub fn operator_lazy_mixing_time<O: TransitionOperator + ?Sized>(
             if mixed_at.is_some() {
                 break;
             }
-            op.apply_into(&dist, &mut stepped);
+            chain.step_into(&dist, &mut stepped);
             for (a, b) in dist.iter_mut().zip(&stepped) {
                 *a = 0.5 * *a + 0.5 * b;
             }
@@ -231,7 +229,7 @@ mod tests {
             .stationary_with(&PowerOptions::new(200_000, 1e-13), None)
             .unwrap()
             .pi;
-        let s = operator_lazy_mixing_time(&sparse, &pi, &[0, 1], 0.01, 10_000);
+        let s = sparse_lazy_mixing_time(&sparse, &pi, &[0, 1], 0.01, 10_000);
         assert_eq!(d.mixing_time, s.mixing_time);
         assert!((d.final_distance - s.final_distance).abs() < 1e-9);
     }

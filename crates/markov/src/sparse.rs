@@ -16,13 +16,13 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::time::Instant;
 
 use pwf_obs::Metrics;
 
 use crate::chain::{ChainError, MarkovChain};
 use crate::linalg::Matrix;
-use crate::operator::{stationary_operator, TransitionOperator};
-use crate::solve::{PowerOptions, SolveStats};
+use crate::solve::{record_solve, PowerOptions, SolveStats};
 use crate::stationary::StationaryError;
 use crate::structure::Adjacency;
 
@@ -197,15 +197,10 @@ impl<S: Clone + Eq + Hash> SparseChain<S> {
             .map(|s| s.pi)
     }
 
-    /// Stationary distribution by lazy power iteration with explicit
-    /// [`PowerOptions`] (adaptive stopping by default) and optional
-    /// solver metrics (`markov.stationary.*`).
-    ///
-    /// Delegates to the operator-generic
-    /// [`stationary_operator`] — for a CSR chain the
-    /// [`TransitionOperator`] step *is* [`step_into`](Self::step_into),
-    /// so the iterates (and therefore the result, the iteration count,
-    /// and the residual) are bit-identical to the historical CSR loop.
+    /// Stationary distribution by lazy power iteration
+    /// (`q ← q(I + P)/2`) from uniform, with explicit [`PowerOptions`]
+    /// (adaptive geometric-extrapolation stopping by default) and
+    /// optional solver metrics (`markov.stationary.*`).
     ///
     /// # Errors
     ///
@@ -216,7 +211,61 @@ impl<S: Clone + Eq + Hash> SparseChain<S> {
         opts: &PowerOptions,
         metrics: Option<&Metrics>,
     ) -> Result<StationarySolve, StationaryError> {
-        stationary_operator(self, opts, metrics)
+        let n = self.len();
+        let start = Instant::now();
+        let mut dist = vec![1.0 / n as f64; n];
+        let mut next = vec![0.0; n];
+        let mut delta = f64::INFINITY;
+        let mut prev_delta = f64::INFINITY;
+        for it in 1..=opts.max_iters {
+            self.step_into(&dist, &mut next);
+            delta = 0.0;
+            for (d, s) in dist.iter_mut().zip(&next) {
+                let v = 0.5 * *d + 0.5 * s;
+                delta += (v - *d).abs();
+                *d = v;
+            }
+            let remaining = if opts.adaptive && prev_delta.is_finite() {
+                // Geometric extrapolation: with observed decay rate
+                // r = δ_t/δ_{t−1}, the distance left to the fixpoint
+                // is ≈ δ·r/(1 − r). Fall back to the raw delta while
+                // the rate estimate is unusable (first step, exact
+                // convergence, or non-contracting transients); cap the
+                // estimate below by δ so a transiently tiny rate can
+                // never fake convergence.
+                let rate = delta / prev_delta;
+                if rate > 0.0 && rate < 1.0 {
+                    f64::max(delta, delta * rate / (1.0 - rate))
+                } else {
+                    delta
+                }
+            } else {
+                delta
+            };
+            prev_delta = delta;
+            if remaining < opts.tol {
+                let stats = SolveStats {
+                    iterations: it,
+                    residual: delta,
+                    wall_ms: start.elapsed().as_secs_f64() * 1e3,
+                };
+                record_solve(metrics, "stationary", &stats);
+                return Ok(StationarySolve { pi: dist, stats });
+            }
+        }
+        record_solve(
+            metrics,
+            "stationary",
+            &SolveStats {
+                iterations: opts.max_iters,
+                residual: delta,
+                wall_ms: start.elapsed().as_secs_f64() * 1e3,
+            },
+        );
+        Err(StationaryError::NotConverged {
+            iterations: opts.max_iters,
+            delta,
+        })
     }
 
     /// Whether the positive-probability graph is strongly connected
@@ -241,26 +290,6 @@ impl<S: Clone + Eq + Hash> SparseChain<S> {
             }
         }
         MarkovChain::from_matrix(self.states.clone(), m)
-    }
-}
-
-/// A CSR chain is a (fully resident) transition operator; the solvers
-/// in [`crate::operator`], [`crate::hitting`], and [`crate::mixing`]
-/// accept it interchangeably with implicit operators. `apply_into`
-/// forwards to [`SparseChain::step_into`], keeping operator-generic
-/// solves bit-identical to the historical CSR paths.
-impl<S: Clone + Eq + Hash> TransitionOperator for SparseChain<S> {
-    fn len(&self) -> usize {
-        SparseChain::len(self)
-    }
-
-    fn row_into(&self, i: usize, row: &mut Vec<(u32, f64)>) {
-        row.clear();
-        row.extend(self.row(i));
-    }
-
-    fn apply_into(&self, dist: &[f64], out: &mut [f64]) {
-        self.step_into(dist, out);
     }
 }
 

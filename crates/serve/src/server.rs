@@ -228,7 +228,7 @@ fn handle_connection(
             recorder.record(EventKind::OpStart, tick, route_tag(&request.path));
         }
         let keep_alive = request.keep_alive;
-        let response = route(&request, engine, started);
+        let response = route(&request, engine);
         if let Some(recorder) = recorder.as_mut() {
             recorder.record(
                 EventKind::OpEnd,
@@ -257,14 +257,14 @@ fn error_response(status: u16, message: &str) -> Response {
 }
 
 /// Dispatches one parsed request.
-fn route(request: &Request, engine: &Arc<Engine>, started: Instant) -> Response {
+fn route(request: &Request, engine: &Arc<Engine>) -> Response {
     if request.method != "GET" {
         return error_response(405, "only GET is supported");
     }
     match request.path.as_str() {
         "/predict" => predict_route(request, engine),
         "/metrics" => Response::text(200, render_metrics(engine)),
-        "/trace" => trace_route(engine, started),
+        "/trace" => trace_route(engine),
         "/flight" => flight_route(engine),
         "/healthz" => Response::text(200, "ok\n"),
         other => error_response(404, &format!("no route {other:?}")),
@@ -302,10 +302,9 @@ fn flight_route(engine: &Arc<Engine>) -> Response {
     }
 }
 
-fn trace_route(engine: &Arc<Engine>, started: Instant) -> Response {
+fn trace_route(engine: &Arc<Engine>) -> Response {
     match engine.obs().trace() {
         Some(collector) => {
-            let _ = started;
             let events = collector.events();
             let body = pwf_obs::trace_json(&events, "pwf-serve", collector.ticks_per_us());
             Response::json(200, body)
@@ -334,7 +333,6 @@ pub fn render_metrics(engine: &Arc<Engine>) -> String {
         ("serve.cache.entries".into(), stats.cache_len as f64),
         ("serve.shaper.active".into(), stats.shaper.active as f64),
         ("serve.shaper.waiting".into(), stats.shaper.waiting as f64),
-        ("serve.queue_depth".into(), stats.shaper.waiting as f64),
         ("serve.dedup.inflight".into(), stats.inflight as f64),
     ];
     let mut hists: Vec<(String, pwf_obs::LatencySummary)> = Vec::new();
@@ -354,7 +352,6 @@ pub fn render_metrics(engine: &Arc<Engine>) -> String {
         ("serve.dedup.leaders", stats.dedup.leaders),
         ("serve.dedup.joins", stats.dedup.joins),
         ("serve.shaper.shed_total", stats.shaper.shed),
-        ("serve.shed_total", stats.shaper.shed),
         ("serve.shaper.timeouts", stats.shaper.timeouts),
         ("serve.shaper.queued_total", stats.shaper.queued),
     ] {

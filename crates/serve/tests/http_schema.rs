@@ -259,9 +259,9 @@ fn metrics_text_format_is_pinned() {
         "counter serve.computed 1",
         "counter serve.cache.hit_total 2",
         "counter serve.dedup.leaders 1",
-        "counter serve.shed_total 0",
+        "counter serve.shaper.shed_total 0",
         "gauge serve.cache.entries 1.000",
-        "gauge serve.queue_depth 0.000",
+        "gauge serve.shaper.waiting 0.000",
         "gauge serve.dedup.inflight 0.000",
     ] {
         assert!(

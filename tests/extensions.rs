@@ -9,6 +9,7 @@ use practically_wait_free::ballsbins::game::mean_phase_length;
 use practically_wait_free::core::progress_audit::audit;
 use practically_wait_free::core::{AlgorithmSpec, SchedulerSpec, SimExperiment};
 use practically_wait_free::markov::mixing::lazy_mixing_time;
+use practically_wait_free::markov::solve::PowerOptions;
 use practically_wait_free::theory::fitting::fit_scu_alpha;
 use pwf_rng::rngs::StdRng;
 use pwf_rng::SeedableRng;
@@ -152,9 +153,13 @@ fn sparse_solver_extends_the_dense_frontier() {
     // Dense is capped at MAX_SYSTEM_N; sparse goes beyond and stays on
     // the √n curve.
     let dense64 = scu::exact_system_latency(64).unwrap();
-    let sparse64 = scu::large_system_latency(64, 300_000, 1e-12).unwrap();
+    let sparse64 = scu::large_system_latency_with(64, &PowerOptions::new(300_000, 1e-12), None)
+        .unwrap()
+        .0;
     assert!((dense64 - sparse64).abs() < 1e-6);
-    let sparse256 = scu::large_system_latency(256, 400_000, 1e-11).unwrap();
+    let sparse256 = scu::large_system_latency_with(256, &PowerOptions::new(400_000, 1e-11), None)
+        .unwrap()
+        .0;
     let ratio = (sparse256 / dense64) / (256f64 / 64.0).sqrt();
     assert!(
         (ratio - 1.0).abs() < 0.05,

@@ -1,7 +1,8 @@
 //! Property-based tests for the sparse-first Markov engine: the
 //! iterative CSR solvers must agree with the dense direct-solve
-//! oracle on arbitrary ergodic chains, and the CSR representation
-//! must round-trip builder input exactly.
+//! oracle on arbitrary ergodic chains, the CSR representation must
+//! round-trip builder input exactly, and its rows must read back
+//! deterministically and stochastically.
 
 // Proptest is an external crate gated behind `heavy-deps` so the
 // default workspace builds with zero crates.io dependencies; enable
@@ -11,7 +12,7 @@
 use practically_wait_free::markov::chain::{ChainBuilder, MarkovChain};
 use practically_wait_free::markov::linalg::Matrix;
 use practically_wait_free::markov::solve::PowerOptions;
-use practically_wait_free::markov::sparse::SparseChainBuilder;
+use practically_wait_free::markov::sparse::{SparseChain, SparseChainBuilder};
 use practically_wait_free::markov::stationary::stationary_distribution;
 use proptest::prelude::*;
 
@@ -67,8 +68,57 @@ fn random_sparse_ergodic_chain(n: usize) -> impl Strategy<Value = MarkovChain<us
     })
 }
 
+/// Strategy: a builder-made chain on states `0..n` whose rows carry a
+/// self-loop, an edge to state 0, an edge to the next state and up to
+/// three extra targets, duplicates included (the builder merges
+/// them), with integer weights normalized to sum to 1.
+fn random_builder_chain() -> impl Strategy<Value = SparseChain<usize>> {
+    (1usize..12)
+        .prop_flat_map(|n| {
+            let row = (
+                prop::collection::vec((0usize..n, 1u32..50), 0..4),
+                1u32..50,
+                1u32..50,
+                1u32..50,
+            );
+            (Just(n), prop::collection::vec(row, n))
+        })
+        .prop_map(|(n, rows)| {
+            let mut b = SparseChainBuilder::new();
+            for s in 0..n {
+                b.state(s);
+            }
+            for (i, (extra, w_self, w_zero, w_next)) in rows.into_iter().enumerate() {
+                let total = f64::from(w_self + w_zero + w_next)
+                    + extra.iter().map(|&(_, w)| f64::from(w)).sum::<f64>();
+                b.transition(i, i, f64::from(w_self) / total);
+                b.transition(i, 0, f64::from(w_zero) / total);
+                b.transition(i, (i + 1) % n, f64::from(w_next) / total);
+                for (j, w) in extra {
+                    b.transition(i, j, f64::from(w) / total);
+                }
+            }
+            b.build().expect("rows are normalized")
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// CSR rows are deterministic and conservative: two reads of a row
+    /// agree bitwise, targets strictly increase, and every row sums to
+    /// 1 within builder tolerance.
+    #[test]
+    fn rows_are_deterministic_and_stochastic(chain in random_builder_chain()) {
+        for i in 0..chain.len() {
+            let first: Vec<(u32, f64)> = chain.row(i).collect();
+            let second: Vec<(u32, f64)> = chain.row(i).collect();
+            prop_assert_eq!(&first, &second);
+            prop_assert!(first.windows(2).all(|w| w[0].0 < w[1].0), "row {} unsorted", i);
+            let sum: f64 = first.iter().map(|&(_, p)| p).sum();
+            prop_assert!((sum - 1.0).abs() < 1e-9, "row {} sums to {}", i, sum);
+        }
+    }
 
     /// The adaptive sparse power iteration agrees with dense Gaussian
     /// elimination on dense random chains up to n = 64.

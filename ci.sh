@@ -35,6 +35,13 @@ echo "==> pwfbench self-tests (the benchmark builds against the workspace)"
 # .bench_build is gitignored, so this step writes no tracked file.
 CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --manifest-path pwfbench/Cargo.toml
 
+echo "==> pwfbench traced serve-cold: served bodies match their layers' own calls"
+# The traced replay recomputes every chain and sim key it served with
+# the Markov and simulator layers' public calls and reports
+# "correct":false on any mismatch.
+CARGO_TARGET_DIR=.bench_build cargo run -q --release --offline --manifest-path pwfbench/Cargo.toml -- \
+    --workload serve-cold --seed 11 --seconds 1 --trace 1 | grep -q '"correct":true'
+
 echo "==> obs zero-cost gate: workspace must build and test with obs off"
 cargo build --offline --no-default-features -p pwf-obs -p pwf-sim -p pwf-hardware
 cargo test -q --offline --no-default-features -p pwf-obs -p pwf-sim -p pwf-hardware

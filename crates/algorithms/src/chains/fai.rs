@@ -12,8 +12,8 @@ use pwf_markov::solve::{GaussSeidelOptions, Metrics};
 use pwf_markov::sparse::{SparseChain, SparseChainBuilder};
 use pwf_markov::stationary::stationary_distribution;
 
-use super::latency_from_success_probabilities;
 use super::scu::LatencyError;
+use super::{latency_from_success_probabilities, ChainFamily};
 
 /// A state of the individual chain: bitmask of processes in the
 /// `Current` extended local state (never zero).
@@ -41,10 +41,9 @@ pub fn lift(state: &SubsetState) -> usize {
 ///
 /// Panics if `n == 0` or `n > MAX_INDIVIDUAL_N`.
 pub fn sparse_individual_chain(n: usize) -> Result<SparseChain<SubsetState>, ChainError> {
-    assert!(n >= 1, "need at least one process");
     assert!(
-        n <= MAX_INDIVIDUAL_N,
-        "individual chain has 2^n - 1 states; n must be at most {MAX_INDIVIDUAL_N}"
+        ChainFamily::FetchAndInc.admits(n),
+        "individual chain has 2^n - 1 states; need 1 <= n <= {MAX_INDIVIDUAL_N}"
     );
     let p = 1.0 / n as f64;
     let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
@@ -360,33 +359,20 @@ mod tests {
     }
 
     #[test]
-    fn kernel_condition_holds_on_sparse_chains() {
-        use pwf_markov::lifting::kernel_residual_sparse;
-        for n in 2..=8 {
-            let ind = sparse_individual_chain(n).unwrap();
-            let glob = sparse_global_chain(n).unwrap();
-            let map = |s: &SubsetState| lift(s);
-            let r = kernel_residual_sparse(&ind, &glob, map).unwrap();
-            assert!(r < 1e-12, "n={n}: kernel residual {r}");
-        }
-    }
-
-    #[test]
     fn sparse_latency_matches_dense() {
+        use crate::chains::sparse_system_latency;
         use pwf_markov::solve::PowerOptions;
         for n in [4usize, 16, 64] {
             let dense = exact_system_latency(n).unwrap();
             let chain = sparse_global_chain(n).unwrap();
-            let solve = chain
-                .stationary_with(&PowerOptions::new(400_000, 1e-12), None)
-                .unwrap();
-            let succ: Vec<f64> = (1..=n).map(|i| i as f64 / n as f64).collect();
-            let sparse = latency_from_success_probabilities(&solve.pi, &succ);
+            let opts = PowerOptions::new(400_000, 1e-12);
+            let (sparse, stats) =
+                sparse_system_latency(&chain, |&i| i as f64 / n as f64, &opts, None).unwrap();
             assert!(
                 (dense - sparse).abs() / dense < 1e-6,
                 "n={n}: dense {dense} vs sparse {sparse}"
             );
-            assert!(solve.stats.iterations > 0);
+            assert!(stats.iterations > 0);
         }
     }
 

@@ -50,6 +50,43 @@ pub mod parallel;
 pub mod scan;
 pub mod scu;
 
+use pwf_markov::solve::{Metrics, PowerOptions, SolveStats};
+use pwf_markov::sparse::SparseChain;
+
+/// An algorithm family whose individual and system chains are built
+/// here, and whose lifting Lemmas 5, 10 and 13 are about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChainFamily {
+    /// The scan-validate component `SCU(0, 1)` (Section 6.1.1).
+    Scu01,
+    /// Parallel code with the given `q` (Section 6.2).
+    Parallel {
+        /// Steps per call.
+        q: usize,
+    },
+    /// Fetch-and-increment (Section 7).
+    FetchAndInc,
+}
+
+impl ChainFamily {
+    /// Whether the family's CSR chains can be built at `n` processes:
+    /// the one cap the individual-chain builders assert, so a caller
+    /// that checks it first never reaches their panics. (`SCU(0, 1)`'s
+    /// kernel check enumerates no individual chain.)
+    pub fn admits(self, n: usize) -> bool {
+        n >= 1
+            && match self {
+                ChainFamily::Scu01 => true,
+                ChainFamily::FetchAndInc => n <= fai::MAX_INDIVIDUAL_N,
+                ChainFamily::Parallel { q } => {
+                    (1..=255).contains(&q)
+                        && n <= 255
+                        && (q as f64).powi(n as i32) <= parallel::MAX_INDIVIDUAL_STATES as f64
+                }
+            }
+    }
+}
+
 /// Expected steps between successes given per-state success
 /// probabilities and a stationary distribution: `W = 1 / Σ π_x μ_x`.
 ///
@@ -62,6 +99,27 @@ pub fn latency_from_success_probabilities(pi: &[f64], success: &[f64]) -> f64 {
     let mu: f64 = pi.iter().zip(success).map(|(p, s)| p * s).sum();
     assert!(mu > 0.0, "success probability is zero in stationarity");
     1.0 / mu
+}
+
+/// System latency `W` of a CSR system chain whose state `x` completes
+/// an operation with probability `success(x)`, from one adaptive
+/// power-iteration solve; returned with the solver's work statistics.
+///
+/// # Errors
+///
+/// Propagates solver-convergence failures.
+pub fn sparse_system_latency<S: Clone + Eq + std::hash::Hash>(
+    chain: &SparseChain<S>,
+    success: impl Fn(&S) -> f64,
+    opts: &PowerOptions,
+    metrics: Option<&Metrics>,
+) -> Result<(f64, SolveStats), scu::LatencyError> {
+    let solve = chain.stationary_with(opts, metrics)?;
+    let succ: Vec<f64> = chain.states().iter().map(success).collect();
+    Ok((
+        latency_from_success_probabilities(&solve.pi, &succ),
+        solve.stats,
+    ))
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@ use pwf_markov::chain::{ChainError, MarkovChain};
 use pwf_markov::sparse::{SparseChain, SparseChainBuilder};
 use pwf_markov::stationary::stationary_distribution;
 
-use super::latency_from_success_probabilities;
 use super::scu::LatencyError;
+use super::{latency_from_success_probabilities, ChainFamily};
 
 /// A state of the individual chain: per-process step counters.
 pub type CounterState = Vec<u8>;
@@ -43,8 +43,9 @@ pub fn lift(state: &CounterState, q: usize) -> OccupancyState {
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`, `q == 0`, `q > 255`, or `qⁿ` exceeds
-/// [`MAX_INDIVIDUAL_STATES`].
+/// Panics unless `ChainFamily::Parallel { q }.admits(n)`
+/// ([`ChainFamily::admits`]): `1 ≤ q, n ≤ 255` and
+/// `qⁿ ≤` [`MAX_INDIVIDUAL_STATES`].
 pub fn individual_chain(n: usize, q: usize) -> Result<MarkovChain<CounterState>, ChainError> {
     sparse_individual_chain(n, q)?.to_dense()
 }
@@ -58,18 +59,16 @@ pub fn individual_chain(n: usize, q: usize) -> Result<MarkovChain<CounterState>,
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`, `q == 0`, `q > 255`, or `qⁿ` exceeds
-/// [`MAX_INDIVIDUAL_STATES`].
+/// Panics unless `ChainFamily::Parallel { q }.admits(n)`
+/// ([`ChainFamily::admits`]): `1 ≤ q, n ≤ 255` and
+/// `qⁿ ≤` [`MAX_INDIVIDUAL_STATES`].
 pub fn sparse_individual_chain(
     n: usize,
     q: usize,
 ) -> Result<SparseChain<CounterState>, ChainError> {
-    assert!(n >= 1 && q >= 1, "need n ≥ 1 and q ≥ 1");
-    assert!(q <= 255, "q must fit in a byte");
-    let states_count = (q as f64).powi(n as i32);
     assert!(
-        states_count <= MAX_INDIVIDUAL_STATES as f64,
-        "q^n = {states_count} exceeds {MAX_INDIVIDUAL_STATES}"
+        ChainFamily::Parallel { q }.admits(n),
+        "q = {q}, n = {n} exceeds the chain caps (1 ≤ q, n ≤ 255 and q^n ≤ {MAX_INDIVIDUAL_STATES})"
     );
 
     // Enumerate {0..q−1}^n.
@@ -294,17 +293,6 @@ mod tests {
         for (n, q) in [(2, 3), (3, 3), (4, 2)] {
             let wi = exact_individual_latency(n, q, 0).unwrap();
             assert!((wi - (n * q) as f64).abs() < 1e-8, "n={n}, q={q}: W_i={wi}");
-        }
-    }
-
-    #[test]
-    fn kernel_condition_holds_on_sparse_chains() {
-        use pwf_markov::lifting::kernel_residual_sparse;
-        for (n, q) in [(2usize, 3usize), (3, 3), (4, 2)] {
-            let ind = sparse_individual_chain(n, q).unwrap();
-            let sys = sparse_system_chain(n, q).unwrap();
-            let r = kernel_residual_sparse(&ind, &sys, |s| lift(s, q)).unwrap();
-            assert!(r < 1e-12, "n={n} q={q}: kernel residual {r}");
         }
     }
 

@@ -19,7 +19,7 @@ use pwf_markov::sparse::{SparseChain, SparseChainBuilder};
 use pwf_markov::stationary::{stationary_distribution, StationaryError};
 use pwf_rng::{Rng, SeedableRng};
 
-use super::latency_from_success_probabilities;
+use super::{latency_from_success_probabilities, sparse_system_latency};
 
 /// Extended local state of one process (paper, Section 6.1.1): the
 /// state is defined *from the viewpoint of the entire system* — a
@@ -267,16 +267,12 @@ pub fn large_system_latency_with(
     metrics: Option<&Metrics>,
 ) -> Result<(f64, SolveStats), LatencyError> {
     let chain = sparse_system_chain(n)?;
-    let solve = chain.stationary_with(opts, metrics)?;
-    let succ: Vec<f64> = chain
-        .states()
-        .iter()
-        .map(|&(a, b)| (n - a - b) as f64 / n as f64)
-        .collect();
-    Ok((
-        latency_from_success_probabilities(&solve.pi, &succ),
-        solve.stats,
-    ))
+    sparse_system_latency(
+        &chain,
+        |&(a, b)| (n - a - b) as f64 / n as f64,
+        opts,
+        metrics,
+    )
 }
 
 /// Result of the symmetry-reduced kernel check of Lemma 5's lifting

@@ -3,7 +3,7 @@
 //! simulation cross-check.
 
 use pwf_algorithms::chains::fai;
-use pwf_core::chain_analysis::{analyze, ChainFamily};
+use pwf_core::chain_analysis::{analyze_exhaustive, ChainFamily};
 use pwf_core::{AlgorithmSpec, SimExperiment};
 use pwf_markov::solve::GaussSeidelOptions;
 use pwf_runner::{fmt, ExpConfig, ExpResult, FnExperiment, ReportBuilder};
@@ -23,7 +23,7 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     out.note("small n: individual chain (2^n - 1 states) + lifting + simulation");
     out.header(&["n", "W chain", "W sim", "Wi/(nW)", "flow res"]);
     for n in 2..=8 {
-        let r = analyze(ChainFamily::FetchAndInc, n)?;
+        let r = analyze_exhaustive(ChainFamily::FetchAndInc, n)?;
         let sim = SimExperiment::new(AlgorithmSpec::FetchAndInc, n, cfg.scaled(400_000))
             .seed(cfg.sub_seed(n as u64))
             .run()?;

@@ -17,7 +17,7 @@
 //! — and hence this report — are byte-identical at any `--jobs`.
 
 use pwf_algorithms::chains::scu;
-use pwf_core::chain_analysis::{analyze, assemble_scu_large, ChainFamily};
+use pwf_core::chain_analysis::{analyze_exhaustive, ChainFamily};
 use pwf_markov::solve::PowerOptions;
 use pwf_runner::{fmt, parallel_map, ExpConfig, ExpResult, FnExperiment, ReportBuilder};
 
@@ -76,7 +76,7 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
         )
     });
 
-    // Merge per size, in input order, then attach the solve.
+    // Merge per size, in input order, then solve the system chain.
     let mut results = Vec::with_capacity(sizes.len());
     let mut it = chunk_reports.into_iter();
     for &n in &sizes {
@@ -85,23 +85,23 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
         for _ in 1..k {
             merged = merged.merge(&it.next().expect("one report per chunk"));
         }
-        let large = assemble_scu_large(&merged, &opts, None);
-        let dense = (n <= DENSE_MAX).then(|| analyze(ChainFamily::Scu01, n));
-        results.push((n, large, dense));
+        let large = scu::large_system_latency_with(n, &opts, None);
+        let dense = (n <= DENSE_MAX).then(|| analyze_exhaustive(ChainFamily::Scu01, n));
+        results.push((n, merged, large, dense));
     }
 
     out.note("");
     out.note("dense oracle vs sparse engine (both run up to the 3^n-1 wall):");
     out.header(&["n", "flow res", "pi res", "W dense", "W sparse", "rel err"]);
-    for (n, large, dense) in &results {
+    for (n, _, large, dense) in &results {
         let Some(dense) = dense else { continue };
         let dense = dense.as_ref().map_err(|e| e.to_string())?;
-        let large = large.as_ref().map_err(|e| e.to_string())?;
-        let rel = (dense.system_latency - large.system_latency).abs() / dense.system_latency;
+        let (w, _) = large.as_ref().map_err(|e| e.to_string())?;
+        let rel = (dense.system_latency - w).abs() / dense.system_latency;
         if rel > 1e-6 {
             return Err(format!(
-                "dense/sparse disagreement at n = {n}: {} vs {} (rel {rel:e})",
-                dense.system_latency, large.system_latency
+                "dense/sparse disagreement at n = {n}: {} vs {w} (rel {rel:e})",
+                dense.system_latency
             )
             .into());
         }
@@ -110,7 +110,7 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
             fmt(dense.lifting_flow_residual),
             fmt(dense.lifting_stationary_residual),
             fmt(dense.system_latency),
-            fmt(large.system_latency),
+            fmt(*w),
             fmt(rel),
         ]);
     }
@@ -130,26 +130,26 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
         "W",
         "W/sqrt(n)",
     ]);
-    for (n, large, _) in &results {
-        let r = large.as_ref().map_err(|e| e.to_string())?;
+    for (n, lifting, large, _) in &results {
+        let (w, solver) = large.as_ref().map_err(|e| e.to_string())?;
         let gate = if *n >= 100 { 1e-12 } else { 1e-9 };
-        if r.kernel_residual > gate {
+        if lifting.kernel_residual > gate {
             return Err(format!(
                 "kernel lifting condition violated at n = {n}: residual {}",
-                r.kernel_residual
+                lifting.kernel_residual
             )
             .into());
         }
         out.row(&[
             n.to_string(),
-            r.classes.to_string(),
+            lifting.classes.to_string(),
             scu::orbit_chunks(*n, CHUNK_CLASSES).len().to_string(),
-            fmt(r.individual_states),
-            r.states_checked.to_string(),
-            fmt(r.kernel_residual),
-            r.solver.iterations.to_string(),
-            fmt(r.system_latency),
-            fmt(r.system_latency / (*n as f64).sqrt()),
+            fmt(3f64.powi(*n as i32) - 1.0),
+            lifting.states_checked.to_string(),
+            fmt(lifting.kernel_residual),
+            solver.iterations.to_string(),
+            fmt(*w),
+            fmt(w / (*n as f64).sqrt()),
         ]);
     }
 

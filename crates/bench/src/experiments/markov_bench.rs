@@ -21,8 +21,9 @@
 use std::path::Path;
 use std::time::Instant;
 
-use pwf_core::chain_analysis::{analyze, analyze_scu_large, ChainFamily, LargeScuReport};
-use pwf_markov::solve::PowerOptions;
+use pwf_algorithms::chains::scu;
+use pwf_core::chain_analysis::{analyze_exhaustive, ChainFamily};
+use pwf_markov::solve::{PowerOptions, SolveStats};
 use pwf_runner::json::Json;
 use pwf_runner::{fmt, ExpConfig, ExpResult, FnExperiment, ReportBuilder};
 
@@ -40,17 +41,19 @@ pub const EXP: FnExperiment = FnExperiment {
 /// crossover gate is applied at the largest dense size run.
 const DENSE_WALL: usize = 7;
 
+/// Solver throughput: CSR row applications per second during the
+/// stationary solve (states × iterations / solve wall time).
+fn states_per_sec(lifting: &scu::SymmetryLiftingReport, solver: &SolveStats) -> f64 {
+    lifting.classes as f64 * solver.iterations as f64 / (solver.wall_ms / 1e3)
+}
+
 /// One uniform-schema record; `dense` adds the comparison fields.
 fn size_record(
     n: usize,
     sparse_ms: f64,
-    report: &LargeScuReport,
+    (lifting, solver): (&scu::SymmetryLiftingReport, &SolveStats),
     dense: Option<(f64, f64, f64)>,
 ) -> Json {
-    // Solver throughput: CSR row applications per second during
-    // the stationary solve (states × iterations / solve wall time).
-    let states_per_sec = report.system_states as f64 * report.solver.iterations as f64
-        / (report.solver.wall_ms / 1e3);
     let mut fields = vec![("n".into(), Json::Int(n as i128))];
     if let Some((dense_ms, speedup, w_rel_err)) = dense {
         fields.push(("dense_ms".into(), Json::Num(dense_ms)));
@@ -60,10 +63,13 @@ fn size_record(
     fields.push(("sparse_ms".into(), Json::Num(sparse_ms)));
     fields.push((
         "solver_iterations".into(),
-        Json::Int(report.solver.iterations as i128),
+        Json::Int(solver.iterations as i128),
     ));
-    fields.push(("kernel_residual".into(), Json::Num(report.kernel_residual)));
-    fields.push(("states_per_sec".into(), Json::Num(states_per_sec)));
+    fields.push(("kernel_residual".into(), Json::Num(lifting.kernel_residual)));
+    fields.push((
+        "states_per_sec".into(),
+        Json::Num(states_per_sec(lifting, solver)),
+    ));
     Json::Obj(fields)
 }
 
@@ -98,50 +104,53 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     let mut wall_speedup = None;
     for &n in dense_sizes {
         let start = Instant::now();
-        let dense = analyze(ChainFamily::Scu01, n)?;
+        let dense = analyze_exhaustive(ChainFamily::Scu01, n)?;
         let dense_ms = start.elapsed().as_secs_f64() * 1e3;
 
         let start = Instant::now();
-        let sparse = analyze_scu_large(n, 2, cfg.sub_seed(n as u64), &opts, metrics)?;
+        let lifting = scu::verify_lifting_by_symmetry(n, 2, cfg.sub_seed(n as u64))?;
+        let (w, solver) = scu::large_system_latency_with(n, &opts, metrics)?;
         let sparse_ms = start.elapsed().as_secs_f64() * 1e3;
 
-        let rel = (dense.system_latency - sparse.system_latency).abs() / dense.system_latency;
+        let rel = (dense.system_latency - w).abs() / dense.system_latency;
         if rel > 1e-6 {
             return Err(format!("dense/sparse W disagree at n = {n} (rel {rel:e})").into());
         }
         let speedup = dense_ms / sparse_ms;
         wall_speedup = Some((n, speedup));
-        let record = size_record(n, sparse_ms, &sparse, Some((dense_ms, speedup, rel)));
+        let record = size_record(
+            n,
+            sparse_ms,
+            (&lifting, &solver),
+            Some((dense_ms, speedup, rel)),
+        );
         out.row(&[
             n.to_string(),
             fmt(dense_ms),
             fmt(sparse_ms),
             fmt(speedup),
-            fmt(
-                sparse.system_states as f64 * sparse.solver.iterations as f64
-                    / (sparse.solver.wall_ms / 1e3),
-            ),
+            fmt(states_per_sec(&lifting, &solver)),
             fmt(rel),
         ]);
         entries.push(record);
     }
 
-    let mut large_report: Option<LargeScuReport> = None;
+    let mut large_report: Option<scu::SymmetryLiftingReport> = None;
     for &n in sparse_only {
         let start = Instant::now();
-        let sparse = analyze_scu_large(n, 2, cfg.sub_seed(n as u64), &opts, metrics)?;
+        let lifting = scu::verify_lifting_by_symmetry(n, 2, cfg.sub_seed(n as u64))?;
+        let (_, solver) = scu::large_system_latency_with(n, &opts, metrics)?;
         let sparse_ms = start.elapsed().as_secs_f64() * 1e3;
-        if n >= 100 && sparse.kernel_residual > 1e-12 {
+        if n >= 100 && lifting.kernel_residual > 1e-12 {
             return Err(format!(
                 "lifting not verified at n = {n}: kernel residual {} > 1e-12",
-                sparse.kernel_residual
+                lifting.kernel_residual
             )
             .into());
         }
-        let states_per_sec = sparse.system_states as f64 * sparse.solver.iterations as f64
-            / (sparse.solver.wall_ms / 1e3);
+        let throughput = states_per_sec(&lifting, &solver);
         // NaN (zero wall time) must fail too, hence the explicit form.
-        let throughput_ok = states_per_sec.is_finite() && states_per_sec > 0.0;
+        let throughput_ok = throughput.is_finite() && throughput > 0.0;
         if !throughput_ok {
             return Err(format!("states/sec not positive at n = {n}").into());
         }
@@ -150,12 +159,12 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
             "-".into(),
             fmt(sparse_ms),
             "-".into(),
-            fmt(states_per_sec),
+            fmt(throughput),
             "-".into(),
         ]);
-        entries.push(size_record(n, sparse_ms, &sparse, None));
+        entries.push(size_record(n, sparse_ms, (&lifting, &solver), None));
         if n >= 100 {
-            large_report = Some(sparse);
+            large_report = Some(lifting);
         }
     }
     let large_report = large_report.expect("n = 100 runs in every profile");

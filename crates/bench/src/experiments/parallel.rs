@@ -1,7 +1,7 @@
 //! E6 — Lemmas 10–11: parallel code has system latency exactly `q`
 //! and individual latency exactly `n·q`, by lifting `M_I` onto `M_S`.
 
-use pwf_core::chain_analysis::{analyze, ChainFamily};
+use pwf_core::chain_analysis::{analyze_exhaustive, ChainFamily};
 use pwf_core::{AlgorithmSpec, SimExperiment};
 use pwf_runner::{fmt, ExpConfig, ExpResult, FnExperiment, ReportBuilder};
 
@@ -21,7 +21,7 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
         .into_iter()
         .enumerate()
     {
-        let r = analyze(ChainFamily::Parallel { q }, n)?;
+        let r = analyze_exhaustive(ChainFamily::Parallel { q }, n)?;
         let sim = SimExperiment::new(AlgorithmSpec::Parallel { q }, n, cfg.scaled(400_000))
             .seed(cfg.sub_seed(tag as u64))
             .run()?;

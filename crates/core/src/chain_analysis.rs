@@ -1,36 +1,104 @@
-//! Exact-chain analysis drivers: build the paper's individual and
-//! system chains, verify the lifting between them, and extract the
-//! latencies the theorems are about.
+//! Chain analysis drivers: build the paper's individual and system
+//! chains, verify the lifting between them, and extract the latencies
+//! the theorems are about.
 //!
-//! Two regimes: [`analyze`] runs the exhaustive small-`n` analysis on
-//! the dense oracle chains, and [`analyze_scu_large`] scales the SCU
-//! analysis past the `3ⁿ − 1` enumeration wall using the sparse
-//! system chain, the adaptive iterative solver, and the
-//! symmetry-reduced kernel lifting check.
+//! [`analyze`] is the production analysis. It runs on the CSR chains
+//! alone: a solve-free kernel check of the lifting (Lemmas 5/10/13),
+//! one stationary solve of the system chain for `W`, and `W_i = n·W`
+//! (Lemmas 7/11/14), which the verified lifting makes exact.
+//! [`analyze_exhaustive`] is its oracle: it enumerates the dense
+//! individual chain, verifies the lifting by ergodic flow, and solves
+//! both chains directly, so it is limited to small `n`.
 
 use std::fmt;
 
-use pwf_algorithms::chains::{fai, parallel, scu};
-use pwf_markov::lifting::{verify_lifting, LiftingError};
-use pwf_markov::solve::{Metrics, PowerOptions, SolveStats};
+use pwf_algorithms::chains::{fai, parallel, scu, sparse_system_latency};
+use pwf_markov::lifting::{kernel_residual_sparse, verify_lifting, LiftingError};
+use pwf_markov::solve::PowerOptions;
 
-/// Which algorithm family's chains to analyze.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChainFamily {
-    /// The scan-validate component `SCU(0, 1)` (Section 6.1.1).
-    Scu01,
-    /// Parallel code with the given `q` (Section 6.2).
-    Parallel {
-        /// Steps per call.
-        q: usize,
-    },
-    /// Fetch-and-increment (Section 7).
-    FetchAndInc,
-}
+pub use pwf_algorithms::chains::ChainFamily;
 
-/// The outcome of an exact-chain analysis at a given `n`.
+/// Largest kernel residual [`analyze`] accepts as a verified lifting.
+/// The collapsed rows are sums of at most `n` terms `1/n`, so a true
+/// lifting leaves only float rounding.
+const KERNEL_TOL: f64 = 1e-12;
+
+/// Seed of the SCU kernel check's sampled permutations: a constant, so
+/// the report is a pure function of `(family, n)`.
+const SCU_SAMPLE_SEED: u64 = 0x5EED_C4A1;
+
+/// The outcome of the production chain analysis ([`analyze`]).
 #[derive(Debug, Clone)]
 pub struct ChainReport {
+    /// States in the CSR system chain.
+    pub system_states: usize,
+    /// System latency `W` from the system chain's stationary solve.
+    pub system_latency: f64,
+    /// Individual latency `n·W` (Lemmas 7/11/14), exact because the
+    /// lifting is kernel-verified.
+    pub individual_latency: f64,
+    /// Worst violation of the kernel lifting condition (at most
+    /// `1e-12`).
+    pub kernel_residual: f64,
+}
+
+/// Runs the production analysis for a family at `n` processes. The
+/// lifting is verified without a solve: for `SCU(0, 1)` by the
+/// symmetry-reduced kernel check ([`scu::verify_lifting_by_symmetry`],
+/// two sampled permutations per class), for fetch-and-increment and
+/// parallel code by [`kernel_residual_sparse`] over the CSR pair. `W`
+/// comes from one adaptive power-iteration solve of the system chain;
+/// for `SCU(0, 1)` it is exactly [`scu::large_system_latency_with`] at
+/// 500 000 iterations and tolerance `1e-12`.
+///
+/// # Errors
+///
+/// [`ChainAnalysisError::Lifting`] if the kernel residual exceeds
+/// `1e-12`; [`ChainAnalysisError::Latency`] if the solve does not
+/// converge.
+///
+/// # Panics
+///
+/// Panics unless [`ChainFamily::admits`] `n`.
+pub fn analyze(family: ChainFamily, n: usize) -> Result<ChainReport, ChainAnalysisError> {
+    let opts = PowerOptions::new(500_000, 1e-12);
+    let nf = n as f64;
+    let (residual, system_states, (system_latency, _)) = match family {
+        ChainFamily::Scu01 => {
+            let lifting = scu::verify_lifting_by_symmetry(n, 2, SCU_SAMPLE_SEED)?;
+            let w = scu::large_system_latency_with(n, &opts, None)?;
+            (lifting.kernel_residual, lifting.classes, w)
+        }
+        ChainFamily::Parallel { q } => {
+            let sys = parallel::sparse_system_chain(n, q)?;
+            let ind = parallel::sparse_individual_chain(n, q)?;
+            let residual = kernel_residual_sparse(&ind, &sys, |s| parallel::lift(s, q))?;
+            let w = sparse_system_latency(&sys, |s| s[q - 1] as f64 / nf, &opts, None)?;
+            (residual, sys.len(), w)
+        }
+        ChainFamily::FetchAndInc => {
+            let sys = fai::sparse_global_chain(n)?;
+            let ind = fai::sparse_individual_chain(n)?;
+            let residual = kernel_residual_sparse(&ind, &sys, fai::lift)?;
+            let w = sparse_system_latency(&sys, |&i| i as f64 / nf, &opts, None)?;
+            (residual, sys.len(), w)
+        }
+    };
+    if residual > KERNEL_TOL {
+        return Err(LiftingError::KernelMismatch { residual }.into());
+    }
+    Ok(ChainReport {
+        system_states,
+        system_latency,
+        individual_latency: nf * system_latency,
+        kernel_residual: residual,
+    })
+}
+
+/// The outcome of the exhaustive oracle analysis
+/// ([`analyze_exhaustive`]) at a given `n`.
+#[derive(Debug, Clone)]
+pub struct ExhaustiveReport {
     /// Algorithm family analyzed.
     pub family: ChainFamily,
     /// Number of processes.
@@ -49,7 +117,7 @@ pub struct ChainReport {
     pub lifting_stationary_residual: f64,
 }
 
-impl ChainReport {
+impl ExhaustiveReport {
     /// The ratio `W_i / (n·W)`, which Lemmas 7/11/14 say equals 1.
     pub fn fairness_identity(&self) -> f64 {
         self.individual_latency / (self.n as f64 * self.system_latency)
@@ -101,7 +169,8 @@ impl From<LiftingError> for ChainAnalysisError {
     }
 }
 
-/// Runs the full exact analysis (chains, lifting, latencies) for a
+/// The test oracle for [`analyze`]: the full exhaustive analysis
+/// (dense chains, ergodic-flow lifting check, direct solves) for a
 /// family at `n` processes. The individual chain is solved once: its
 /// latency comes from the stationary distribution the lifting check
 /// already computed. `n` is limited by the individual chain's
@@ -117,13 +186,16 @@ impl From<LiftingError> for ChainAnalysisError {
 ///
 /// Panics if `n` is zero or too large for the family's individual
 /// chain.
-pub fn analyze(family: ChainFamily, n: usize) -> Result<ChainReport, ChainAnalysisError> {
+pub fn analyze_exhaustive(
+    family: ChainFamily,
+    n: usize,
+) -> Result<ExhaustiveReport, ChainAnalysisError> {
     match family {
         ChainFamily::Scu01 => {
             let ind = scu::individual_chain(n)?;
             let sys = scu::system_chain(n)?;
             let lifting = verify_lifting(&ind, &sys, scu::lift, 1e-7)?;
-            Ok(ChainReport {
+            Ok(ExhaustiveReport {
                 family,
                 n,
                 individual_states: ind.len(),
@@ -143,7 +215,7 @@ pub fn analyze(family: ChainFamily, n: usize) -> Result<ChainReport, ChainAnalys
             let ind = parallel::individual_chain(n, q)?;
             let sys = parallel::system_chain(n, q)?;
             let lifting = verify_lifting(&ind, &sys, |s| parallel::lift(s, q), 1e-7)?;
-            Ok(ChainReport {
+            Ok(ExhaustiveReport {
                 family,
                 n,
                 individual_states: ind.len(),
@@ -164,7 +236,7 @@ pub fn analyze(family: ChainFamily, n: usize) -> Result<ChainReport, ChainAnalys
             let ind = fai::individual_chain(n)?;
             let sys = fai::global_chain(n)?;
             let lifting = verify_lifting(&ind, &sys, fai::lift, 1e-7)?;
-            Ok(ChainReport {
+            Ok(ExhaustiveReport {
                 family,
                 n,
                 individual_states: ind.len(),
@@ -183,100 +255,14 @@ pub fn analyze(family: ChainFamily, n: usize) -> Result<ChainReport, ChainAnalys
     }
 }
 
-/// The outcome of the scalable SCU analysis ([`analyze_scu_large`]).
-#[derive(Debug, Clone)]
-pub struct LargeScuReport {
-    /// Number of processes.
-    pub n: usize,
-    /// States in the sparse system chain (`(n+1)(n+2)/2 − 1`).
-    pub system_states: usize,
-    /// States the individual chain *would* have (`3ⁿ − 1`) — reported
-    /// as `f64` because it exceeds `usize` long before `n = 64`.
-    pub individual_states: f64,
-    /// System latency `W` from the adaptive sparse solver.
-    pub system_latency: f64,
-    /// Individual latency `n·W`, as given by Lemma 7 — valid because
-    /// the lifting underlying it is verified by the kernel check.
-    pub individual_latency: f64,
-    /// Worst violation of the strong-lumpability kernel condition
-    /// across all symmetry classes (see
-    /// [`scu::verify_lifting_by_symmetry`]).
-    pub kernel_residual: f64,
-    /// Symmetry classes checked.
-    pub classes: usize,
-    /// Individual-chain rows checked (representatives + samples).
-    pub states_checked: usize,
-    /// Work statistics of the stationary solve.
-    pub solver: SolveStats,
-}
-
-/// Runs the scalable SCU analysis at `n` processes: the sparse system
-/// chain, adaptive-power-iteration latency, and the symmetry-reduced
-/// kernel verification of Lemma 5's lifting against it. Practical far
-/// past the dense oracle (`n` in the hundreds; the individual chain is
-/// never enumerated).
-///
-/// # Errors
-///
-/// Propagates solver-convergence errors.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn analyze_scu_large(
-    n: usize,
-    samples_per_class: usize,
-    seed: u64,
-    opts: &PowerOptions,
-    metrics: Option<&Metrics>,
-) -> Result<LargeScuReport, ChainAnalysisError> {
-    let lifting = scu::verify_lifting_by_symmetry(n, samples_per_class, seed)?;
-    assemble_scu_large(&lifting, opts, metrics)
-}
-
-/// Assembles a [`LargeScuReport`] from a pre-computed (possibly
-/// chunk-merged) lifting report plus a fresh sparse stationary
-/// solve — the entry point for callers that fan the kernel check out
-/// over [`scu::orbit_chunks`] in parallel and
-/// [`merge`](scu::SymmetryLiftingReport::merge) the per-chunk reports.
-/// [`analyze_scu_large`] is exactly this with a serial all-classes
-/// check.
-///
-/// # Errors
-///
-/// Propagates solver-convergence errors.
-///
-/// # Panics
-///
-/// Panics if the lifting report's `n == 0`.
-pub fn assemble_scu_large(
-    lifting: &scu::SymmetryLiftingReport,
-    opts: &PowerOptions,
-    metrics: Option<&Metrics>,
-) -> Result<LargeScuReport, ChainAnalysisError> {
-    let n = lifting.n;
-    let (w, solver) = scu::large_system_latency_with(n, opts, metrics)?;
-    Ok(LargeScuReport {
-        n,
-        system_states: lifting.classes,
-        individual_states: 3f64.powi(n as i32) - 1.0,
-        system_latency: w,
-        individual_latency: n as f64 * w,
-        kernel_residual: lifting.kernel_residual,
-        classes: lifting.classes,
-        states_checked: lifting.states_checked,
-        solver,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn scu01_analysis_confirms_fairness_identity() {
+    fn scu01_oracle_confirms_fairness_identity() {
         for n in 2..=5 {
-            let r = analyze(ChainFamily::Scu01, n).unwrap();
+            let r = analyze_exhaustive(ChainFamily::Scu01, n).unwrap();
             assert!((r.fairness_identity() - 1.0).abs() < 1e-8, "n = {n}");
             assert!(r.lifting_flow_residual < 1e-9);
         }
@@ -287,23 +273,25 @@ mod tests {
         let r = analyze(ChainFamily::Parallel { q: 4 }, 3).unwrap();
         assert!((r.system_latency - 4.0).abs() < 1e-8);
         assert!((r.individual_latency - 12.0).abs() < 1e-8);
+        assert!(r.kernel_residual <= KERNEL_TOL);
+        assert_eq!(r.system_states, 20, "C(3 + 4 - 1, 4 - 1) occupancies");
     }
 
     #[test]
     fn fai_analysis_within_lemma_12_bound() {
-        for n in 2..=8 {
+        for n in 2..=10 {
             let r = analyze(ChainFamily::FetchAndInc, n).unwrap();
             assert!(r.system_latency <= 2.0 * (n as f64).sqrt());
-            assert!((r.fairness_identity() - 1.0).abs() < 1e-8);
+            assert!(r.kernel_residual <= KERNEL_TOL);
         }
     }
 
     #[test]
-    fn analysis_reuses_the_lifting_solve_bit_for_bit() {
+    fn oracle_reuses_the_lifting_solve_bit_for_bit() {
         // The individual latency comes from the lifting check's
         // stationary distribution; it must equal a fresh solve exactly.
         for n in 1..=5 {
-            let r = analyze(ChainFamily::Scu01, n).unwrap();
+            let r = analyze_exhaustive(ChainFamily::Scu01, n).unwrap();
             let fresh = scu::exact_individual_latency(n, 0).unwrap();
             assert_eq!(
                 r.individual_latency.to_bits(),
@@ -312,7 +300,7 @@ mod tests {
             );
         }
         for n in 1..=6 {
-            let r = analyze(ChainFamily::FetchAndInc, n).unwrap();
+            let r = analyze_exhaustive(ChainFamily::FetchAndInc, n).unwrap();
             let fresh = fai::exact_individual_latency(n, 0).unwrap();
             assert_eq!(
                 r.individual_latency.to_bits(),
@@ -321,7 +309,7 @@ mod tests {
             );
         }
         for (q, n) in [(1, 4), (2, 3), (3, 3)] {
-            let r = analyze(ChainFamily::Parallel { q }, n).unwrap();
+            let r = analyze_exhaustive(ChainFamily::Parallel { q }, n).unwrap();
             let fresh = parallel::exact_individual_latency(n, q, 0).unwrap();
             assert_eq!(
                 r.individual_latency.to_bits(),
@@ -333,38 +321,8 @@ mod tests {
 
     #[test]
     fn state_counts_are_reported() {
-        let r = analyze(ChainFamily::Scu01, 3).unwrap();
+        let r = analyze_exhaustive(ChainFamily::Scu01, 3).unwrap();
         assert_eq!(r.individual_states, 26);
         assert_eq!(r.system_states, 9);
-    }
-
-    #[test]
-    fn large_scu_analysis_matches_exhaustive_at_overlap() {
-        // At n ≤ 7 both regimes run; they must agree.
-        let n = 6;
-        let exact = analyze(ChainFamily::Scu01, n).unwrap();
-        let large = analyze_scu_large(n, 2, 7, &PowerOptions::new(400_000, 1e-12), None).unwrap();
-        assert!(
-            (exact.system_latency - large.system_latency).abs() / exact.system_latency < 1e-6,
-            "dense {} vs sparse {}",
-            exact.system_latency,
-            large.system_latency
-        );
-        assert!(large.kernel_residual < 1e-12);
-        assert_eq!(large.system_states, exact.system_states);
-        assert!((large.individual_states - exact.individual_states as f64).abs() < 0.5);
-    }
-
-    #[test]
-    fn large_scu_analysis_verifies_n_20_and_beyond() {
-        let r = analyze_scu_large(20, 2, 11, &PowerOptions::new(400_000, 1e-11), None).unwrap();
-        assert!(r.kernel_residual < 1e-12);
-        assert_eq!(r.classes, 21 * 22 / 2 - 1);
-        // Lemma 7's identity is definitional here; the payload is W.
-        assert!((r.individual_latency - 20.0 * r.system_latency).abs() < 1e-9);
-        // W/√n stays in the band the dense range established.
-        let ratio = r.system_latency / 20f64.sqrt();
-        assert!(ratio > 1.4 && ratio < 2.2, "W/sqrt(n) = {ratio}");
-        assert!(r.solver.iterations > 0);
     }
 }

@@ -66,6 +66,12 @@ pub enum LiftingError {
         /// Aggregated flow from the lifted chain.
         lifted_flow: f64,
     },
+    /// The kernel condition (see [`kernel_residual_sparse`]) is
+    /// violated beyond tolerance.
+    KernelMismatch {
+        /// Worst violation observed.
+        residual: f64,
+    },
     /// A stationary computation failed on one of the chains.
     Stationary(StationaryError),
 }
@@ -91,6 +97,9 @@ impl fmt::Display for LiftingError {
                 f,
                 "flow mismatch on base edge {from} -> {to}: base {base_flow}, lifted {lifted_flow}"
             ),
+            LiftingError::KernelMismatch { residual } => {
+                write!(f, "kernel residual {residual:e} exceeds tolerance")
+            }
             LiftingError::Stationary(e) => write!(f, "stationary computation failed: {e}"),
         }
     }

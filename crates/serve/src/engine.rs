@@ -389,8 +389,8 @@ mod tests {
     fn analysis_errors_surface_as_failed_and_are_not_cached() {
         let engine = Engine::new(&EngineConfig::default(), ObsHandle::disabled());
         // Hand-built key that sidesteps validation: chain-layer fai
-        // above its state-count wall fails inside the analysis, not in
-        // parse_key.
+        // above its state-count wall fails in compute's chain guard,
+        // not in parse_key and not in a builder panic.
         let bad = PredictKey {
             n: 24,
             ..key(&[("alg", "fai"), ("n", "4"), ("layer", "chain")])

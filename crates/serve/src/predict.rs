@@ -7,8 +7,9 @@
 //!
 //! * `layer=theory` — closed forms (Theorems 4–5, Lemmas 11–12):
 //!   microseconds of compute;
-//! * `layer=chain` — exact or sparse Markov-chain analysis
-//!   (`pwf-markov` through `pwf-core`): milliseconds to seconds;
+//! * `layer=chain` — Markov-chain analysis on the CSR chains
+//!   (`pwf-markov` through `pwf-core`): a solve-free lifting check and
+//!   one system-chain solve: sub-millisecond to seconds;
 //! * `layer=sim` — a seeded discrete-time simulation (`pwf-sim`):
 //!   deterministic for a given `(steps, seed)`, so it caches and
 //!   coalesces like any pure function.
@@ -18,9 +19,8 @@
 //! cache and the drift gate ("server output byte-identical to direct
 //! invocation") sound.
 
-use pwf_core::chain_analysis::{analyze, analyze_scu_large, ChainFamily};
+use pwf_core::chain_analysis::{analyze, ChainFamily};
 use pwf_core::{AlgorithmSpec, SimExperiment};
-use pwf_markov::solve::PowerOptions;
 use pwf_runner::json::Json;
 use pwf_theory::bounds::{fai_system_latency_bound, ScuPrediction};
 
@@ -30,7 +30,8 @@ pub const MAX_N: usize = 4096;
 /// Hard cap on simulated steps per request.
 pub const MAX_STEPS: u64 = 10_000_000;
 
-/// Largest `n` the chain layer accepts for `SCU(0,1)` (sparse path).
+/// Largest `n` the chain layer accepts for `SCU(0,1)`: a compute-time
+/// cap, not a builder limit.
 pub const MAX_CHAIN_SCU_N: usize = 64;
 
 /// Default simulated steps when the query does not say.
@@ -220,37 +221,7 @@ pub fn parse_key(pairs: &[(String, String)]) -> Result<PredictKey, String> {
             }
         }
     }
-    if layer == Layer::Chain {
-        match alg {
-            Alg::Scu => {
-                if (q, s) != (0, 1) {
-                    return Err(
-                        "the chain layer covers scu only at (q=0, s=1); use layer=theory or layer=sim for other (q, s)"
-                            .into(),
-                    );
-                }
-                if n > MAX_CHAIN_SCU_N {
-                    return Err(format!(
-                        "chain-layer scu caps at n = {MAX_CHAIN_SCU_N} (sparse symmetry-reduced analysis)"
-                    ));
-                }
-            }
-            Alg::Fai => {
-                if n > 10 {
-                    return Err("chain-layer fai caps at n = 10 (2^n - 1 individual states)".into());
-                }
-            }
-            Alg::Parallel => {
-                let states = (q as f64 + 1.0).powi(n as i32);
-                if states > 20_000.0 {
-                    return Err(format!(
-                        "chain-layer parallel needs (q+1)^n <= 20000 states, got {states:.0}"
-                    ));
-                }
-            }
-        }
-    }
-    Ok(PredictKey {
+    let key = PredictKey {
         alg,
         q,
         s,
@@ -258,7 +229,11 @@ pub fn parse_key(pairs: &[(String, String)]) -> Result<PredictKey, String> {
         layer,
         steps,
         seed,
-    })
+    };
+    if layer == Layer::Chain {
+        chain_family(&key)?;
+    }
+    Ok(key)
 }
 
 /// Echo of the canonical key as the response's `query` object.
@@ -321,63 +296,46 @@ fn theory_result(key: &PredictKey) -> Json {
     }
 }
 
-/// Re-checks the chain-layer caps [`parse_key`] enforces. The chain
-/// builders *panic* on out-of-range `n`; a panicking leader would
-/// strand every coalesced joiner, so a hand-built key that skipped
-/// validation must fail softly here instead.
-fn chain_guard(key: &PredictKey) -> Result<(), String> {
-    let ok = match key.alg {
-        Alg::Scu => (key.q, key.s) == (0, 1) && key.n >= 1 && key.n <= MAX_CHAIN_SCU_N,
-        Alg::Fai => key.n >= 1 && key.n <= 10,
-        Alg::Parallel => key.n >= 1 && (key.q as f64 + 1.0).powi(key.n as i32) <= 20_000.0,
+/// The chain layer's admission rule, shared by [`parse_key`] and
+/// [`chain_result`]: scu only at `(q, s) = (0, 1)` and
+/// `n ≤` [`MAX_CHAIN_SCU_N`], fai and parallel exactly where their
+/// chain builders accept `(q, n)` ([`ChainFamily::admits`]). A builder
+/// panic in a coalescing leader would strand every joiner, so a
+/// hand-built key that skipped validation must fail softly here too.
+fn chain_family(key: &PredictKey) -> Result<ChainFamily, String> {
+    let family = match key.alg {
+        Alg::Scu => {
+            if (key.q, key.s) != (0, 1) {
+                return Err(
+                    "the chain layer covers scu only at (q=0, s=1); use layer=theory or layer=sim for other (q, s)"
+                        .into(),
+                );
+            }
+            if key.n > MAX_CHAIN_SCU_N {
+                return Err(format!("chain-layer scu caps at n = {MAX_CHAIN_SCU_N}"));
+            }
+            ChainFamily::Scu01
+        }
+        Alg::Fai => ChainFamily::FetchAndInc,
+        Alg::Parallel => ChainFamily::Parallel { q: key.q },
     };
-    if ok {
-        Ok(())
+    if family.admits(key.n) {
+        Ok(family)
     } else {
-        Err(format!("chain layer cannot answer {key}"))
+        Err(format!(
+            "chain-layer {} has no chains at q = {}, n = {}: outside the chain builders' caps",
+            key.alg.name(),
+            key.q,
+            key.n
+        ))
     }
 }
 
 fn chain_result(key: &PredictKey) -> Result<Json, String> {
-    chain_guard(key)?;
-    let family = match key.alg {
-        Alg::Scu => ChainFamily::Scu01,
-        Alg::Fai => ChainFamily::FetchAndInc,
-        Alg::Parallel => ChainFamily::Parallel { q: key.q },
-    };
-    // SCU past the dense enumeration wall takes the sparse
-    // symmetry-reduced path; the kernel-check sampling seed is a fixed
-    // constant so the response stays a pure function of the key.
-    if key.alg == Alg::Scu && key.n > 7 {
-        let opts = PowerOptions::new(500_000, 1e-12);
-        let report = analyze_scu_large(key.n, 2, 0x5EED_C4A1, &opts, None)
-            .map_err(|e| format!("sparse chain analysis failed: {e}"))?;
-        return Ok(Json::Obj(vec![
-            ("model".into(), Json::Str("sparse_chain".into())),
-            (
-                "system_states".into(),
-                Json::Int(report.system_states as i128),
-            ),
-            ("system_latency".into(), Json::Num(report.system_latency)),
-            (
-                "individual_latency".into(),
-                Json::Num(report.individual_latency),
-            ),
-            (
-                "completion_rate".into(),
-                Json::Num(1.0 / report.system_latency),
-            ),
-            ("kernel_residual".into(), Json::Num(report.kernel_residual)),
-            ("symmetry_classes".into(), Json::Int(report.classes as i128)),
-        ]));
-    }
-    let report = analyze(family, key.n).map_err(|e| format!("chain analysis failed: {e}"))?;
+    let report =
+        analyze(chain_family(key)?, key.n).map_err(|e| format!("chain analysis failed: {e}"))?;
     Ok(Json::Obj(vec![
-        ("model".into(), Json::Str("exact_chain".into())),
-        (
-            "individual_states".into(),
-            Json::Int(report.individual_states as i128),
-        ),
+        ("model".into(), Json::Str("chain".into())),
         (
             "system_states".into(),
             Json::Int(report.system_states as i128),
@@ -391,14 +349,7 @@ fn chain_result(key: &PredictKey) -> Result<Json, String> {
             "completion_rate".into(),
             Json::Num(1.0 / report.system_latency),
         ),
-        (
-            "lifting_flow_residual".into(),
-            Json::Num(report.lifting_flow_residual),
-        ),
-        (
-            "fairness_identity".into(),
-            Json::Num(report.fairness_identity()),
-        ),
+        ("kernel_residual".into(), Json::Num(report.kernel_residual)),
     ]))
 }
 
@@ -498,6 +449,7 @@ mod tests {
             vec![("alg", "scu"), ("n", "9999999")],                           // over cap
             vec![("alg", "fai"), ("n", "11"), ("layer", "chain")],            // fai chain cap
             vec![("alg", "scu"), ("n", "4"), ("q", "2"), ("layer", "chain")], // scu chain (q,s)
+            vec![("alg", "scu"), ("n", "65"), ("layer", "chain")],            // scu chain cap
         ] {
             assert!(
                 parse_key(&pairs(&bad)).is_err(),
@@ -546,27 +498,6 @@ mod tests {
         assert!(
             (w - (2.0 + 8.0)).abs() < 1e-12,
             "q + s*sqrt(n) = 10, got {w}"
-        );
-    }
-
-    #[test]
-    fn sparse_and_exact_chain_agree_near_the_wall() {
-        let exact = parse_key(&pairs(&[("alg", "scu"), ("n", "7"), ("layer", "chain")])).unwrap();
-        let sparse = parse_key(&pairs(&[("alg", "scu"), ("n", "8"), ("layer", "chain")])).unwrap();
-        let w = |body: &str| {
-            Json::parse(body)
-                .unwrap()
-                .get("result")
-                .and_then(|r| r.get("system_latency"))
-                .and_then(Json::as_f64)
-                .unwrap()
-        };
-        let w7 = w(&compute(&exact).unwrap());
-        let w8 = w(&compute(&sparse).unwrap());
-        // W grows slowly in n; adjacent sizes land close together.
-        assert!(
-            w7 > 1.0 && w8 > w7 && w8 < w7 + 1.0,
-            "W(7) = {w7}, W(8) = {w8}"
         );
     }
 }

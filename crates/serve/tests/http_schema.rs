@@ -78,22 +78,6 @@ fn predict_response_schema_is_pinned() {
             vec!["system_latency", "individual_latency", "completion_rate"],
         ),
         (
-            "/predict?alg=scu&n=4&layer=chain",
-            "exact_chain",
-            vec![
-                "individual_states",
-                "system_states",
-                "system_latency",
-                "lifting_flow_residual",
-                "fairness_identity",
-            ],
-        ),
-        (
-            "/predict?alg=scu&n=8&layer=chain",
-            "sparse_chain",
-            vec!["system_states", "kernel_residual", "symmetry_classes"],
-        ),
-        (
             "/predict?alg=fai&n=4&layer=sim&steps=5000",
             "simulation",
             vec![
@@ -142,6 +126,43 @@ fn predict_response_schema_is_pinned() {
     server.shutdown();
 }
 
+/// Every chain key answers with one body schema, whatever the family
+/// or size: the `chain` model and exactly these fields, in this order.
+/// Parallel code at q = 255 is the byte cap of its chain builders.
+#[test]
+fn chain_response_schema_is_one_schema() {
+    let (server, addr) = boot();
+    for target in [
+        "/predict?alg=scu&n=4&layer=chain",
+        "/predict?alg=scu&n=8&layer=chain",
+        "/predict?alg=fai&n=5&layer=chain",
+        "/predict?alg=parallel&q=2&n=6&layer=chain",
+        "/predict?alg=parallel&q=255&n=1&layer=chain",
+    ] {
+        let (status, body) = get(addr, target);
+        assert_eq!(status, 200, "{target}: {body}");
+        let doc = Json::parse(&body).unwrap_or_else(|e| panic!("{target}: bad JSON: {e}"));
+        let Some(Json::Obj(fields)) = doc.get("result") else {
+            panic!("{target}: result is not an object");
+        };
+        let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "model",
+                "system_states",
+                "system_latency",
+                "individual_latency",
+                "completion_rate",
+                "kernel_residual",
+            ],
+            "{target}: field list"
+        );
+        assert_eq!(fields[0].1.as_str(), Some("chain"), "{target}: model");
+    }
+    server.shutdown();
+}
+
 /// Error responses are `{"error": <string>, "status": <int>}` and the
 /// status field matches the HTTP status line.
 #[test]
@@ -151,6 +172,9 @@ fn error_response_schema_is_pinned() {
         ("/predict?alg=bogus&n=4", 400),
         ("/predict?alg=scu", 400),
         ("/predict?alg=fai&n=11&layer=chain", 400),
+        // Past the chain builders' caps: refused up front, never a
+        // panicking computation that strands coalesced joiners.
+        ("/predict?alg=parallel&q=256&n=1&layer=chain", 400),
         ("/nowhere", 404),
     ] {
         let (status, body) = get(addr, target);

@@ -11,7 +11,7 @@
 use practically_wait_free::algorithms::chains::scu::{
     individual_chain, lift, system_chain, PState,
 };
-use practically_wait_free::core::chain_analysis::{analyze, ChainFamily};
+use practically_wait_free::core::chain_analysis::{analyze_exhaustive, ChainFamily};
 use practically_wait_free::markov::stationary::stationary_distribution;
 
 fn pstate(p: &PState) -> &'static str {
@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ChainFamily::FetchAndInc => 6,
             ChainFamily::Parallel { .. } => 4,
         };
-        let r = analyze(family, n)?;
+        let r = analyze_exhaustive(family, n)?;
         println!(
             "  {label:<28} {:>6} → {:>3} states   flow residual {:.2e}   π residual {:.2e}   W_i/(nW) = {:.6}",
             r.individual_states,

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use practically_wait_free::core::chain_analysis::{analyze, ChainFamily};
+use practically_wait_free::core::chain_analysis::{analyze_exhaustive, ChainFamily};
 use practically_wait_free::core::{AlgorithmSpec, SimExperiment};
 use practically_wait_free::theory::bounds::ScuPrediction;
 
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for n in [2usize, 3, 4, 5] {
         // Exact: stationary analysis of the system chain, with the
         // individual→system lifting verified along the way.
-        let exact = analyze(ChainFamily::Scu01, n)?;
+        let exact = analyze_exhaustive(ChainFamily::Scu01, n)?;
 
         // Simulated: 400k scheduler steps of the real state machines.
         let sim = SimExperiment::new(AlgorithmSpec::Scu { q: 0, s: 1 }, n, 400_000)
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let w_sim = sim.system_latency.expect("long run always completes ops");
 
         // Closed form: q + α·s·√n with α calibrated to n = 2.
-        let alpha = (analyze(ChainFamily::Scu01, 2)?.system_latency) / (2.0f64).sqrt();
+        let alpha = (analyze_exhaustive(ChainFamily::Scu01, 2)?.system_latency) / (2.0f64).sqrt();
         let theory = ScuPrediction::with_alpha(0, 1, n, alpha).system_latency();
 
         println!(

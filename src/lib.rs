@@ -37,13 +37,15 @@
 //! # Quickstart
 //!
 //! ```
-//! use practically_wait_free::core::chain_analysis::{analyze, ChainFamily};
+//! use practically_wait_free::core::chain_analysis::{analyze, analyze_exhaustive, ChainFamily};
 //! use practically_wait_free::core::{AlgorithmSpec, SimExperiment};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! // Exact: Lemma 7's fairness identity W_i = n·W for SCU(0,1), n=4.
+//! // Exact: W for SCU(0,1), n=4, from the lifted system chain; Lemma
+//! // 7's fairness identity W_i = n·W, checked by enumeration.
 //! let exact = analyze(ChainFamily::Scu01, 4)?;
-//! assert!((exact.fairness_identity() - 1.0).abs() < 1e-8);
+//! let oracle = analyze_exhaustive(ChainFamily::Scu01, 4)?;
+//! assert!((oracle.fairness_identity() - 1.0).abs() < 1e-8);
 //!
 //! // Simulated: the same system latency, measured over a long run.
 //! let sim = SimExperiment::new(AlgorithmSpec::Scu { q: 0, s: 1 }, 4, 100_000).run()?;

@@ -4,7 +4,7 @@
 
 use practically_wait_free::algorithms::chains::{fai, parallel, scu};
 use practically_wait_free::ballsbins::game::mean_phase_length;
-use practically_wait_free::core::chain_analysis::{analyze, ChainFamily};
+use practically_wait_free::core::chain_analysis::{analyze, analyze_exhaustive, ChainFamily};
 use practically_wait_free::core::{AlgorithmSpec, SimExperiment};
 use practically_wait_free::theory::ramanujan::z_worst;
 use pwf_rng::rngs::StdRng;
@@ -108,17 +108,51 @@ fn individual_latency_is_n_times_system_in_simulation() {
 
 #[test]
 fn exact_analysis_agrees_across_chain_families() {
-    // ChainReport's fairness identity holds for every family (the
-    // lifting lemmas 7, 11, 14 in one sweep).
-    for (family, n) in [
-        (ChainFamily::Scu01, 5usize),
-        (ChainFamily::Parallel { q: 3 }, 4),
-        (ChainFamily::FetchAndInc, 7),
-    ] {
+    // The exhaustive oracle's fairness identity holds for every family
+    // (the lifting lemmas 7, 11, 14), and the production analysis
+    // (kernel-checked lifting, one sparse system-chain solve,
+    // W_i = n·W) agrees with it on W and W_i: at every scu and fai
+    // size the oracle enumerates, and at the parallel chain keys the
+    // service benchmark draws.
+    let parallel = [
+        (1, 2),
+        (1, 4),
+        (1, 6),
+        (2, 2),
+        (2, 3),
+        (2, 4),
+        (3, 2),
+        (3, 3),
+        (3, 4),
+    ];
+    let families = (1..=scu::MAX_INDIVIDUAL_N)
+        .map(|n| (ChainFamily::Scu01, n))
+        .chain((1..=fai::MAX_INDIVIDUAL_N).map(|n| (ChainFamily::FetchAndInc, n)))
+        .chain(parallel.map(|(q, n)| (ChainFamily::Parallel { q }, n)));
+    let rel = |a: f64, b: f64| (a - b).abs() / b;
+    for (family, n) in families {
+        let oracle = analyze_exhaustive(family, n).unwrap();
+        assert!(
+            (oracle.fairness_identity() - 1.0).abs() < 1e-7,
+            "{family:?} n = {n}"
+        );
+        assert!(oracle.lifting_flow_residual < 1e-8, "{family:?} n = {n}");
+        assert!(
+            oracle.lifting_stationary_residual < 1e-8,
+            "{family:?} n = {n}"
+        );
         let r = analyze(family, n).unwrap();
-        assert!((r.fairness_identity() - 1.0).abs() < 1e-7, "{family:?}");
-        assert!(r.lifting_flow_residual < 1e-8, "{family:?}");
-        assert!(r.lifting_stationary_residual < 1e-8, "{family:?}");
+        assert!(r.kernel_residual <= 1e-12, "{family:?} n = {n}");
+        assert_eq!(r.system_states, oracle.system_states, "{family:?} n = {n}");
+        let (w, wi) = (r.system_latency, r.individual_latency);
+        assert!(
+            rel(w, oracle.system_latency) < 1e-9,
+            "{family:?} n = {n}: W {w}"
+        );
+        assert!(
+            rel(wi, oracle.individual_latency) < 1e-9,
+            "{family:?} n = {n}: W_i {wi}"
+        );
     }
 }
 

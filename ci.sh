@@ -67,10 +67,15 @@ obs_trace_dir="$(mktemp -d)"
 test -s "$obs_trace_dir/exp_latency_hist.trace.json"
 rm -rf "$obs_trace_dir"
 
-echo "==> pwf vet: systematic checker smoke (parallel drain must match)"
-./target/release/pwf vet --fast
-# The work-stealing frontier is deterministic by construction: the
-# full report must be byte-identical at any --jobs value.
+echo "==> pwf vet: every registry target gets its verdict"
+# The full registry, including stack-n3, scu-2-2-n3, parallel and the
+# livelock and spinner mutants, which the --fast subset skips. Exits
+# nonzero if a correct target fails or a mutant is not caught.
+./target/release/pwf vet
+
+echo "==> pwf vet: run-to-run determinism"
+# Two runs of the smoke subset must print byte-identical reports.
+# (--jobs is accepted and ignored; exploration runs on one thread.)
 ./target/release/pwf vet --fast --jobs 2 > /tmp/pwf_vet_j2.txt
 ./target/release/pwf vet --fast --jobs 1 | diff - /tmp/pwf_vet_j2.txt
 rm -f /tmp/pwf_vet_j2.txt
@@ -108,12 +113,11 @@ grep -q '"lifting_verified_n": 100' BENCH_markov.json
 grep -q '"states_per_sec"' BENCH_markov.json
 
 echo "==> checker perf smoke: frontier + cache must beat recursive DPOR"
-# exp_checker_bench times the recursive single-threaded explorer
-# against the work-stealing frontier drain with the shared state
-# cache, asserts the cache-off drain walks exactly the recursive tree
-# and that results are identical at --jobs 1/2/8, and returns nonzero
-# if the frontier is not strictly faster at the largest target; it
-# also refreshes BENCH_checker.json.
+# exp_checker_bench times the recursive replaying explorer against
+# the one-thread snapshot frontier with the shared state cache,
+# asserts the cache-off frontier walks exactly the recursive tree, and
+# returns nonzero if the frontier is not strictly faster at the
+# largest target; it also refreshes BENCH_checker.json.
 ./target/release/pwf run exp_checker_bench --fast
 grep -q '"speedup_at_largest"' BENCH_checker.json
 grep -q '"largest_target"' BENCH_checker.json

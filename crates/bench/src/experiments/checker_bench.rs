@@ -1,8 +1,7 @@
-//! `exp_checker_bench` — the perf gate for the parallel DPOR frontier:
-//! times the recursive single-threaded explorer against the
-//! work-stealing frontier drain (with and without the shared
-//! state-fingerprint cache) on the two biggest built-in targets,
-//! recording the trajectory in `BENCH_checker.json`.
+//! `exp_checker_bench` — the perf gate for the DPOR frontier: times the
+//! recursive replaying explorer against the snapshot frontier (with
+//! and without the shared state-fingerprint cache) on the two biggest
+//! built-in targets, recording the trajectory in `BENCH_checker.json`.
 //!
 //! Wall-clock measurement is hardware-dependent, so the experiment
 //! registers `deterministic: false` and `pwf check` skips it. What
@@ -10,13 +9,9 @@
 //!
 //! - differential parity: with the cache off, the frontier explorer
 //!   must reproduce the recursive baseline's execution count exactly;
-//! - determinism: stats and the serialized report must be identical at
-//!   `--jobs` 1, 2, and 8;
 //! - the gate: at the largest target, the frontier with the cache on
-//!   (at `--jobs` = available cores) must beat the recursive baseline
-//!   outright — expanding state snapshots instead of replaying every
-//!   prefix guarantees this even on one core, where thread parallelism
-//!   contributes nothing.
+//!   must beat the recursive baseline outright — expanding state
+//!   snapshots instead of replaying every prefix guarantees this.
 //!
 //! Each target also records the peak number of frontier units alive
 //! at once and the bytes their state snapshots held.
@@ -24,7 +19,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use pwf_checker::explore::{explore, explore_recursive, ExploreOptions, ExploreReport};
+use pwf_checker::explore::{explore, explore_recursive, ExploreOptions};
 use pwf_checker::targets::find;
 use pwf_runner::json::Json;
 use pwf_runner::{fmt, ExpConfig, ExpResult, FnExperiment, ReportBuilder};
@@ -32,8 +27,7 @@ use pwf_runner::{fmt, ExpConfig, ExpResult, FnExperiment, ReportBuilder};
 /// The registered experiment.
 pub const EXP: FnExperiment = FnExperiment {
     name: "exp_checker_bench",
-    description:
-        "Perf gate: recursive DPOR vs work-stealing frontier + state cache, BENCH_checker.json",
+    description: "Perf gate: recursive DPOR vs snapshot frontier + state cache, BENCH_checker.json",
     sizes: "n=2..3 targets",
     deterministic: false,
     body: fill,
@@ -55,9 +49,8 @@ fn timed<R>(mut f: impl FnMut() -> R) -> (f64, R) {
     (best, out.expect("REPS > 0"))
 }
 
-fn opts(jobs: usize, cache: bool) -> ExploreOptions {
+fn opts(cache: bool) -> ExploreOptions {
     ExploreOptions {
-        jobs,
         cache,
         ..ExploreOptions::default()
     }
@@ -65,7 +58,7 @@ fn opts(jobs: usize, cache: bool) -> ExploreOptions {
 
 fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     out.note("DPOR exploration benchmark: recursive baseline vs the chunked");
-    out.note("work-stealing frontier, with and without the shared state cache.");
+    out.note("snapshot frontier, with and without the shared state cache.");
     out.header(&[
         "target",
         "execs",
@@ -90,9 +83,9 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     for &name in names {
         let target = find(name).ok_or_else(|| format!("unknown target {name}"))?;
 
-        let (rec_ms, rec) = timed(|| explore_recursive(&target, &opts(1, false)));
-        let (frontier_ms, nocache) = timed(|| explore(&target, &opts(1, false)));
-        let (cached_ms, cached) = timed(|| explore(&target, &opts(cores, true)));
+        let (rec_ms, rec) = timed(|| explore_recursive(&target, &opts(false)));
+        let (frontier_ms, nocache) = timed(|| explore(&target, &opts(false)));
+        let (cached_ms, cached) = timed(|| explore(&target, &opts(true)));
 
         // Differential parity: without the cache the frontier drain
         // must walk exactly the recursive explorer's tree.
@@ -106,26 +99,6 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
             )
             .into());
         }
-        // Determinism: job count must not leak into results. Steals
-        // are the one legitimately nondeterministic stat, so they are
-        // zeroed before comparing (deterministic_json already excludes
-        // them).
-        let json_of = |r: &ExploreReport| r.deterministic_json(name);
-        let stats_of = |r: &ExploreReport| {
-            let mut s = r.stats.clone();
-            s.steals = 0;
-            s
-        };
-        let one = explore(&target, &opts(1, true));
-        for jobs in [2, 8] {
-            let many = explore(&target, &opts(jobs, true));
-            if json_of(&many) != json_of(&one) || stats_of(&many) != stats_of(&one) {
-                return Err(
-                    format!("exploration of {name} differs between --jobs 1 and {jobs}").into(),
-                );
-            }
-        }
-
         let speedup = rec_ms / cached_ms;
         gate = Some((name, speedup));
         out.row(&[
@@ -192,7 +165,7 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     out.note("trajectory written to BENCH_checker.json.");
 
     // The gate: the new engine must beat the old one on the biggest
-    // exploration, cache on, at the machine's core count.
+    // exploration, cache on.
     if speedup_at_largest <= 1.0 {
         return Err(format!(
             "frontier exploration is not faster than the recursive baseline on \

@@ -28,19 +28,44 @@
 //! in the large, complementing the small-config exhaustive proof.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use pwf_core::progress_audit::{audit as stochastic_audit, ProgressAuditReport};
 use pwf_core::spec::{AlgorithmSpec, SchedulerSpec};
 use pwf_sim::crash::CrashScheduleError;
+
+/// Hasher of the fingerprint-keyed maps below: one multiply-rotate per
+/// word. The keys are already 64-bit hashes of internal state, not
+/// external input, so SipHash's flooding resistance buys nothing.
+#[derive(Default)]
+struct FpHasher(u64);
+
+impl Hasher for FpHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.write_u64(u64::from(*b));
+        }
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(26) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FpMap<V> = HashMap<u64, V, BuildHasherDefault<FpHasher>>;
 
 /// The explored state graph: fingerprint-keyed states, transitions
 /// annotated with whether they completed an operation, and for each
 /// state the first schedule prefix that reached it (a witness).
 #[derive(Debug, Default)]
 pub struct StateGraph {
-    edges: HashMap<u64, Vec<(u64, bool)>>,
-    edge_set: HashSet<(u64, u64, bool)>,
-    first_prefix: HashMap<u64, Vec<usize>>,
+    edges: FpMap<Vec<(u64, bool)>>,
+    edge_set: HashSet<(u64, u64, bool), BuildHasherDefault<FpHasher>>,
+    first_prefix: FpMap<Vec<usize>>,
 }
 
 impl StateGraph {
@@ -103,7 +128,7 @@ impl StateGraph {
         }
         nodes.sort_unstable();
         nodes.dedup();
-        let idx_of: HashMap<u64, usize> = nodes.iter().enumerate().map(|(i, &f)| (f, i)).collect();
+        let idx_of: FpMap<usize> = nodes.iter().enumerate().map(|(i, &f)| (f, i)).collect();
         let adj: Vec<Vec<usize>> = nodes
             .iter()
             .map(|f| {
@@ -208,7 +233,7 @@ impl StateGraph {
             Grey,
             Black,
         }
-        let mut colour: HashMap<u64, Colour> = HashMap::new();
+        let mut colour: FpMap<Colour> = FpMap::default();
         for &root in self.first_prefix.keys() {
             if *colour.get(&root).unwrap_or(&Colour::White) != Colour::White {
                 continue;

@@ -1,7 +1,7 @@
-//! The shared cross-schedule state cache backing parallel exploration.
+//! The cross-schedule state cache backing frontier exploration.
 //!
 //! Exploration units from *different* schedule prefixes can converge
-//! on the same reached configuration; once one worker has queued (and
+//! on the same reached configuration; once the explorer has queued (and
 //! eventually expanded) a state, re-expanding an equivalent instance
 //! from another prefix only re-derives the same subtree. The cache
 //! records every state the explorer has committed to expanding, keyed
@@ -14,8 +14,8 @@
 //! principle collide. A collision that *suppressed* exploration would
 //! silently hide a violation, which is the one failure mode a checker
 //! must not have. Every entry therefore stores, alongside the primary
-//! FNV-1a fingerprint, a second hash computed by an independent
-//! function (a SplitMix64-style avalanche over the same state words)
+//! fingerprint, a second hash computed by an independent function (a
+//! SplitMix64-style avalanche over the same state words)
 //! plus the history fingerprint, sleep-set fingerprint, and depth. A
 //! lookup prunes only when *all five* components match; a primary-hash
 //! match with any mismatching component is counted in
@@ -26,11 +26,10 @@
 //! ## Sharding
 //!
 //! The table is sharded into `SHARDS` independent `Mutex<HashMap>`s
-//! selected by the low bits of the primary fingerprint, so concurrent
-//! workers probing during a parallel drain rarely contend on the same
-//! lock. During a drain the cache is *frozen* (read-only); all inserts
-//! happen in the sequential merge pass between chunks, which is what
-//! keeps exploration deterministic at every `--jobs` value.
+//! selected by the low bits of the primary fingerprint, a layout left
+//! from the removed parallel drain. While a chunk expands the cache is
+//! *frozen* (read-only); all inserts happen in the merge pass between
+//! chunks.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,7 +78,7 @@ impl Entry {
     }
 }
 
-/// Sharded concurrent state cache shared by all exploration workers.
+/// Sharded state cache of one exploration.
 pub struct SharedCache {
     shards: Vec<Mutex<HashMap<u64, Vec<Entry>>>>,
     collisions_averted: AtomicU64,
@@ -134,7 +133,7 @@ impl SharedCache {
     }
 
     /// Inserts `key`; returns `true` if it was new. Only called from
-    /// the sequential merge pass, never during a parallel drain.
+    /// the merge pass, never while a chunk expands.
     pub fn insert(&self, key: StateKey) -> bool {
         let mut shard = self.shard(key.state).lock().expect("cache shard poisoned");
         let entries = shard.entry(key.state).or_default();

@@ -19,10 +19,10 @@ USAGE:
         Exhaustively model-check the named targets (default: all).
         Correct targets must verify; MUTANT targets must be caught,
         with a shrunk, replayable counterexample schedule.
-        --fast          check the CI smoke subset (counter + stack)
-        --jobs N        drain the DPOR frontier with N worker threads
-                        (default: available cores; results are
-                        byte-identical at any N)
+        --fast          check the CI smoke subset (counter, stack and
+                        dedup families, with their mutants)
+        --jobs N        accepted for compatibility; exploration runs on
+                        one thread, so N changes nothing
         --no-prune      disable partial-order reduction (full tree)
         --no-cache      disable the shared state-fingerprint cache
         --metrics       print vet.* counters (pwf-obs registry)
@@ -51,7 +51,6 @@ struct VetArgs {
     no_prune: bool,
     no_cache: bool,
     metrics: bool,
-    jobs: Option<usize>,
     list: bool,
     replay: Option<PathBuf>,
     emit: Option<PathBuf>,
@@ -64,7 +63,6 @@ fn parse_vet_args(argv: Vec<String>) -> Result<VetArgs, String> {
         no_prune: false,
         no_cache: false,
         metrics: false,
-        jobs: None,
         list: false,
         replay: None,
         emit: None,
@@ -79,11 +77,8 @@ fn parse_vet_args(argv: Vec<String>) -> Result<VetArgs, String> {
             "--metrics" => args.metrics = true,
             "--jobs" => {
                 let v = value_of("--jobs")?;
-                args.jobs = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("--jobs needs a positive integer, got {v:?}"))?
-                        .max(1),
-                );
+                v.parse::<usize>()
+                    .map_err(|_| format!("--jobs needs a positive integer, got {v:?}"))?;
             }
             "--list" => args.list = true,
             "--replay" => args.replay = Some(PathBuf::from(value_of("--replay")?)),
@@ -149,9 +144,6 @@ fn cmd_vet(args: &VetArgs) -> i32 {
             return 2;
         }
     };
-    let jobs = args
-        .jobs
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
     let metrics = pwf_obs::Metrics::new();
     let mut failures = 0usize;
     let mut dpor_total = 0u64;
@@ -161,7 +153,6 @@ fn cmd_vet(args: &VetArgs) -> i32 {
         println!("== {} — {}", target.name, target.description);
         let opts = ExploreOptions {
             prune: !args.no_prune,
-            jobs,
             cache: !args.no_cache,
             ..ExploreOptions::default()
         };
@@ -175,8 +166,6 @@ fn cmd_vet(args: &VetArgs) -> i32 {
             s.max_depth,
             if s.capped { " (CAPPED)" } else { "" }
         );
-        // Everything printed here is jobs-independent; `steals` (the
-        // one nondeterministic stat) goes to --metrics only.
         println!(
             "   frontier: {} units, cache {} hits / {} misses, {} collisions averted",
             s.units, s.cache_hits, s.cache_misses, s.collisions_averted
@@ -186,7 +175,6 @@ fn cmd_vet(args: &VetArgs) -> i32 {
         metrics.counter_add("vet.cache.hits", s.cache_hits);
         metrics.counter_add("vet.cache.misses", s.cache_misses);
         metrics.counter_add("vet.cache.collisions_averted", s.collisions_averted);
-        metrics.counter_add("vet.steals", s.steals);
         metrics.counter_add("vet.targets", 1);
         // Reduction ratio: only meaningful on targets explored to
         // completion with pruning on (mutants stop at the first
@@ -240,7 +228,6 @@ fn cmd_vet(args: &VetArgs) -> i32 {
                     target,
                     &ExploreOptions {
                         prune: false,
-                        jobs,
                         cache: !args.no_cache,
                         ..ExploreOptions::default()
                     },
@@ -423,6 +410,13 @@ mod tests {
     fn parse_rejects_unknown_flags() {
         assert!(parse_vet_args(argv(&["--bogus"])).is_err());
         assert!(parse_vet_args(argv(&["--emit"])).is_err());
+    }
+
+    #[test]
+    fn jobs_is_accepted_but_still_validated() {
+        assert!(parse_vet_args(argv(&["--jobs", "8"])).is_ok());
+        assert!(parse_vet_args(argv(&["--jobs", "many"])).is_err());
+        assert!(parse_vet_args(argv(&["--jobs"])).is_err());
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Exhaustive schedule exploration with sleep-set dynamic
-//! partial-order reduction, drained in parallel by a work-stealing
-//! worker pool over a deterministic frontier.
+//! partial-order reduction, drained on one thread from a deterministic
+//! frontier.
 //!
 //! The explorer drives a [`CheckTarget`] through every inequivalent
 //! interleaving of its (budget-bounded) processes. Exploration is
 //! *stateful*: the configuration is built once, and every frontier
 //! unit carries a snapshot of the state it reached (a [`LiveRun`],
 //! whose processes clone through [`CheckProcess::clone_box`]). Expanding
-//! a unit clones that snapshot once per explorable process, so no
-//! schedule prefix is ever re-executed. The recursive baseline
+//! a unit clones that snapshot for every explorable process but the
+//! last, which steps the snapshot itself, so no schedule prefix is ever
+//! re-executed. The recursive baseline
 //! ([`explore_recursive`]) stays stateless — it rebuilds the
 //! configuration and replays the prefix for every branch — and is kept
 //! as the replay oracle the frontier explorer is tested against.
@@ -27,27 +28,24 @@
 //! false` the sleep sets are ignored and the full schedule tree is
 //! enumerated — the baseline for the reported reduction ratio.
 //!
-//! ## Parallel draining, deterministically
+//! ## Chunked draining
 //!
-//! The frontier is a pool of independent *units* — a snapshot of a
-//! reached state plus the sleep set and explorable process list there.
-//! Units are drained in fixed-size chunks (a constant, never derived
-//! from `jobs`): each chunk is handed to the work-stealing pool
-//! ([`crate::pool`]), whose workers expand units concurrently but
-//! return outcomes in unit order; a sequential merge pass then folds
-//! outcomes — stats, state-graph edges, cache inserts, child units,
-//! violation selection — in that order. Because workers only *read*
-//! shared state (the cache is frozen during a drain) and the merge is
-//! sequential in a jobs-independent order, every deterministic output
-//! (stats, graph, report JSON, the chosen counterexample) is
-//! byte-identical at `--jobs 1`, `2`, or `8`. Only the steal count and
-//! wall time vary, and those are telemetry, never report fields.
+//! The frontier is a LIFO stack of self-contained *units* — a snapshot
+//! of a reached state plus the sleep set and explorable process list
+//! there. Units are drained in fixed-size chunks of 256: every
+//! unit of a chunk is expanded against the cache as it stood when the
+//! chunk began (the cache is frozen during a chunk), and a merge pass
+//! then folds the outcomes — stats, state-graph edges, cache inserts,
+//! child units, violation selection — in unit order. Exploration runs
+//! on the caller's thread: a work-stealing pool once drained each
+//! chunk, but per-chunk spawns and the workers' doubled clone and step
+//! costs made a pass slower at two workers than at one, so the pool
+//! was removed. [`ExploreOptions::jobs`] is accepted and ignored.
 //!
 //! Violations are selected order-independently: exploration stops at
 //! chunk granularity once a chunk yields a violation, and the winner
 //! is the minimum by `(schedule length, schedule lexicographic)` among
-//! all candidates found so far — not "whichever worker got there
-//! first".
+//! all candidates found so far.
 //!
 //! ## The shared state cache
 //!
@@ -85,6 +83,17 @@
 //! on a *pair* of independent 64-bit hashes, so a single-hash
 //! collision cannot suppress or fabricate a result, and every reported
 //! schedule replays deterministically for confirmation.
+//!
+//! ## Step hashing
+//!
+//! Both hashes fold the same state words: every register, every
+//! process's local fingerprint, every remaining budget. A step mutates
+//! only the stepping process and shared memory (processes are plain
+//! data), so a run caches each process's
+//! [`CheckProcess::local_fingerprint`] and refreshes only the stepping
+//! process's entry; folding the words then costs one multiply-xorshift
+//! step (primary) and one SplitMix avalanche step (verification) per
+//! word.
 
 use pwf_rng::mix64;
 use pwf_sim::memory::{fnv1a, Access, AccessKind, SharedMemory};
@@ -95,13 +104,12 @@ use crate::audit::StateGraph;
 use crate::cache::{SharedCache, StateKey};
 use crate::lin;
 use crate::op::TimedOp;
-use crate::pool::drain_chunk;
 use crate::spec::Spec;
 use crate::target::{CheckProcess, CheckTarget, Progress};
 
-/// Units handed to the worker pool per parallel round. A constant —
-/// never derived from `jobs` — so the frontier evolves identically at
-/// every job count; the determinism guarantee hangs on this.
+/// Units expanded per round against the frozen cache. The chunk bounds
+/// which sibling states see each other's cache inserts, so it fixes
+/// `cache_hits`, `units` and `executions`; changing it changes reports.
 const CHUNK: usize = 256;
 
 /// Exploration parameters.
@@ -115,10 +123,10 @@ pub struct ExploreOptions {
     pub max_depth: usize,
     /// Stop exploring after this many executions (naive baselines of
     /// larger configs are capped; the cap is reported). Enforced at
-    /// chunk granularity, so the cut-off is jobs-independent.
+    /// chunk granularity.
     pub max_executions: u64,
-    /// Worker threads draining the frontier; `<= 1` expands units
-    /// inline on the caller's thread.
+    /// Accepted for compatibility and ignored: exploration always runs
+    /// on the caller's thread.
     pub jobs: usize,
     /// Cross-schedule shared state cache (only effective with `prune`;
     /// the naive baseline must re-enumerate everything).
@@ -137,8 +145,7 @@ impl Default for ExploreOptions {
     }
 }
 
-/// Counters from one exploration. All fields except `steals` are
-/// deterministic — identical at every `jobs` value.
+/// Counters from one exploration, all deterministic.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExploreStats {
     /// Complete executions examined (leaves of the schedule tree).
@@ -163,8 +170,8 @@ pub struct ExploreStats {
     /// Primary-fingerprint cache hits rejected by the verification
     /// components (the collision guard firing).
     pub collisions_averted: u64,
-    /// Units claimed by a worker from another worker's shard. The only
-    /// nondeterministic counter: telemetry, never a report field.
+    /// Always 0: kept for callers that read it from the removed
+    /// work-stealing pool.
     pub steals: u64,
     /// Most frontier units alive at once (queued plus the chunk being
     /// drained); each holds a snapshot of its reached state.
@@ -208,9 +215,8 @@ pub struct ExploreReport {
 }
 
 impl ExploreReport {
-    /// Renders the deterministic portion of the report as one line of
-    /// JSON: every field is byte-identical at any `--jobs` value.
-    /// Steal counts and wall times are deliberately absent.
+    /// Renders the report's counters and violation as one line of JSON.
+    /// Wall times and the frontier's peak sizes are absent.
     pub fn deterministic_json(&self, target: &str) -> String {
         let s = &self.stats;
         let violation = match &self.violation {
@@ -248,20 +254,26 @@ impl ExploreReport {
     }
 }
 
-/// Seed of the primary FNV-1a state fingerprint.
+/// Seed of the primary state fingerprint.
 const FP_SEED: u64 = 0x9D89_5A4B;
-/// Seed of [`verify_hash`] over the state words.
+/// Seed of [`verify_word`] over the state words.
 const VERIFY_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Independent second hash over the same state words as the primary
-/// FNV-1a fingerprint: a SplitMix64-style avalanche chain, seeded with
-/// `h` so it composes like [`fnv1a`]. Two configurations colliding
-/// under *both* functions simultaneously is the collision guard's
-/// residual risk (~2⁻¹²⁸ per pair).
-fn verify_hash(h: u64, words: &[u64]) -> u64 {
-    words.iter().fold(h, |h, &w| {
-        mix64(h ^ mix64(w.wrapping_add(0xA076_1D64_78BD_642F)))
-    })
+/// Folds one state word into the primary fingerprint: a
+/// multiply-xorshift step, bijective in `w` for a fixed `h`, so states
+/// differing in one word never collide. [`LiveRun::compute_pair`]
+/// finalises the fold with [`mix64`].
+fn primary_word(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^ (h >> 29)
+}
+
+/// Folds one state word into the independent verification hash: a
+/// SplitMix64-style avalanche chain. Two configurations colliding
+/// under *both* hashes at once is the collision guard's residual risk
+/// (~2⁻¹²⁸ per pair).
+fn verify_word(h: u64, w: u64) -> u64 {
+    mix64(h ^ mix64(w.wrapping_add(0xA076_1D64_78BD_642F)))
 }
 
 /// Canonical fingerprint of a sleep set: entries are encoded and
@@ -289,6 +301,9 @@ fn sleep_fingerprint(sleep: &[(usize, Access)]) -> u64 {
 pub struct LiveRun {
     mem: SharedMemory,
     procs: Vec<Box<dyn CheckProcess>>,
+    /// Every process's [`CheckProcess::local_fingerprint`]; a step
+    /// refreshes only the stepping process's entry.
+    locals: Vec<u64>,
     /// The (immutable) initial spec terminal histories check against,
     /// shared by every snapshot.
     spec: Arc<Spec>,
@@ -296,15 +311,17 @@ pub struct LiveRun {
     trace: Vec<usize>,
     ops: Vec<TimedOp>,
     op_start: Vec<Option<u64>>,
-    /// Fingerprint *pairs* of every state this run has passed through,
-    /// sorted: a set that snapshots with one copy. Keying on the pair
-    /// means a single-hash collision cannot forge a revisit (phantom
-    /// livelock) — both independent hashes would have to collide at
-    /// once.
+    /// Fingerprint *pairs* of every state this run has passed through
+    /// since its last completion, sorted: a set that snapshots with one
+    /// copy. A completion lowers a budget, which the state words
+    /// include, so no later state can equal an earlier one. Keying on
+    /// the pair means a single-hash collision cannot forge a revisit
+    /// (phantom livelock) — both independent hashes would have to
+    /// collide at once.
     seen: Vec<(u64, u64)>,
     livelocked: bool,
     /// Cached fingerprint pair of the current state (recomputed once
-    /// per step).
+    /// per step from the cached state words).
     fp_pair: (u64, u64),
     /// Running fingerprint of the completed-operation history,
     /// maintained incrementally; equals
@@ -319,6 +336,7 @@ impl LiveRun {
         assert_eq!(cfg.budgets.len(), n, "one budget per process");
         let mut run = LiveRun {
             mem: cfg.mem,
+            locals: cfg.procs.iter().map(|p| p.local_fingerprint()).collect(),
             procs: cfg.procs,
             spec: Arc::new(cfg.spec),
             remaining: cfg.budgets,
@@ -335,20 +353,21 @@ impl LiveRun {
         run
     }
 
-    /// Streams the state words — shared memory, every process's local
-    /// state, the remaining budgets — through both hashes, one word at a
-    /// time (both compose: `h(h(s, a), b) == h(s, a ++ b)`).
+    /// Streams the state words — every register, every process's
+    /// cached local fingerprint, the remaining budgets — through both
+    /// hashes, one word at a time.
     fn compute_pair(&self) -> (u64, u64) {
-        let mut pair = (FP_SEED, VERIFY_SEED);
-        let mut fold = |w: u64| pair = (fnv1a(pair.0, &[w]), verify_hash(pair.1, &[w]));
-        fold(self.mem.fingerprint());
-        for p in &self.procs {
-            fold(p.local_fingerprint());
-        }
-        for &r in &self.remaining {
-            fold(u64::from(r));
-        }
-        pair
+        let words = self
+            .mem
+            .registers()
+            .iter()
+            .chain(&self.locals)
+            .copied()
+            .chain(self.remaining.iter().map(|&r| u64::from(r)));
+        let (h, v) = words.fold((FP_SEED, VERIFY_SEED), |(h, v), w| {
+            (primary_word(h, w), verify_word(v, w))
+        });
+        (mix64(h), v)
     }
 
     /// Full-state fingerprint: shared memory, every process's local
@@ -420,7 +439,7 @@ impl LiveRun {
             .sum();
         size_of::<Self>()
             + procs
-            + self.mem.register_count() * size_of::<u64>()
+            + (self.mem.register_count() + self.locals.len()) * size_of::<u64>()
             + self.remaining.len() * size_of::<u32>()
             + self.trace.len() * size_of::<usize>()
             + self.ops.len() * size_of::<TimedOp>()
@@ -441,6 +460,7 @@ impl LiveRun {
             self.op_start[p] = Some(now);
         }
         let outcome = self.procs[p].step(&mut self.mem);
+        self.locals[p] = self.procs[p].local_fingerprint();
         let access = self
             .mem
             .last_access()
@@ -458,6 +478,7 @@ impl LiveRun {
             self.ops_fp = fold_op(self.ops_fp, &timed);
             self.ops.push(timed);
             self.remaining[p] -= 1;
+            self.seen.clear();
         }
         self.fp_pair = self.compute_pair();
         let revisit = match self.seen.binary_search(&self.fp_pair) {
@@ -497,7 +518,7 @@ fn fold_op(h: u64, op: &TimedOp) -> u64 {
 
 /// One frontier unit: an unexpanded interior node of the schedule
 /// tree, self-contained (state snapshot + sleep set + explorable
-/// processes) so any worker can expand it independently.
+/// processes) so it expands without touching its siblings.
 struct Unit {
     run: LiveRun,
     sleep: Vec<(usize, Access)>,
@@ -513,8 +534,8 @@ impl Unit {
     }
 }
 
-/// Everything a unit expansion produces, merged sequentially by the
-/// driver. Purely value-typed: workers share nothing mutable.
+/// Everything a unit expansion produces, merged in unit order by
+/// [`explore_seeded`] once its whole chunk is expanded.
 #[derive(Default)]
 struct UnitOutcome {
     executions: u64,
@@ -522,21 +543,20 @@ struct UnitOutcome {
     max_depth: usize,
     frozen_hits: u64,
     violation: Option<Violation>,
-    /// `(from, to, completed)` for each child step taken.
+    /// `(from, to, completed)` for each child step taken, in step order.
     edges: Vec<(u64, u64, bool)>,
-    /// `(state fingerprint, depth)` for each child step, in step order.
-    states: Vec<(u64, usize)>,
     /// One trace per compressed chain, with the end (exclusive) of its
-    /// steps in `states`: a chain state at depth `d` was first reached
-    /// by the first `d` steps of the chain's trace.
+    /// steps in `edges`: the chain's steps are the last steps of its
+    /// trace, so the state its `k`-th last step reached was first
+    /// reached by the trace minus its last `k - 1` steps.
     chains: Vec<(usize, Vec<usize>)>,
     /// Interior children to queue, with their cache keys.
     children: Vec<(StateKey, Unit)>,
 }
 
 /// Keeps the minimal violation by `(schedule length, lexicographic
-/// schedule)` — an order-independent choice, so the merge can fold
-/// candidates in any deterministic order and land on the same winner.
+/// schedule)` — an order-independent choice, so every candidate found
+/// before the stop lands on the same winner.
 fn consider_violation(best: &mut Option<Violation>, candidate: Option<Violation>) {
     let Some(c) = candidate else { return };
     match best {
@@ -549,14 +569,14 @@ fn consider_violation(best: &mut Option<Violation>, candidate: Option<Violation>
     }
 }
 
-/// Expands one frontier unit: clones its snapshot once per explorable
-/// process, steps that process, and classifies the result (leaf,
-/// sleep-blocked, cache-pruned, or a new unit carrying the stepped
-/// run as its snapshot). Reads the frozen cache; never writes shared
-/// state.
+/// Expands one frontier unit: steps a copy of its snapshot once per
+/// explorable process (the last process steps the snapshot itself) and
+/// classifies the result (leaf, sleep-blocked, cache-pruned, or a new
+/// unit carrying the stepped run as its snapshot). Reads the frozen
+/// cache; never writes it.
 ///
 /// Unary chains are *path-compressed*: while a reached state has
-/// exactly one explorable process, the worker keeps stepping the same
+/// exactly one explorable process, expansion keeps stepping the same
 /// live run instead of queueing a unit, which saves a snapshot clone,
 /// a cache probe and a frontier round trip per chain step. Compressed
 /// states never enter the frontier, so they are neither cache-checked
@@ -566,12 +586,19 @@ fn expand(
     target: &CheckTarget,
     opts: &ExploreOptions,
     cache: Option<&SharedCache>,
-    unit: &Unit,
+    unit: Unit,
 ) -> UnitOutcome {
     let mut out = UnitOutcome::default();
     let mut explored: Vec<(usize, Access)> = Vec::new();
-    for &p in &unit.explorable {
-        let mut run = unit.run.clone();
+    let last = unit.explorable.len().saturating_sub(1);
+    let mut snapshot = Some(unit.run);
+    for (i, &p) in unit.explorable.iter().enumerate() {
+        let mut run = if i == last {
+            snapshot.take()
+        } else {
+            snapshot.clone()
+        }
+        .expect("only the last branch takes the snapshot");
         let mut sleep_now = unit.sleep.clone();
         let mut next_p = p;
         // Sibling sleepers apply to the first step only; compressed
@@ -582,7 +609,6 @@ fn expand(
             let (access, completed) = run.step_raw(next_p, opts.max_depth);
             let to = run.fingerprint();
             out.edges.push((from, to, completed));
-            out.states.push((to, run.trace().len()));
             out.max_depth = out.max_depth.max(run.trace().len());
             if first {
                 explored.push((p, access));
@@ -666,7 +692,7 @@ fn expand(
                 }
             }
         };
-        out.chains.push((out.states.len(), run.trace().to_vec()));
+        out.chains.push((out.edges.len(), run.trace().to_vec()));
         if let Some((key, sleep, explorable)) = child {
             out.children.push((
                 key,
@@ -732,28 +758,30 @@ pub fn explore_seeded(
     while !frontier.is_empty() {
         let take = frontier.len().min(CHUNK);
         let chunk: Vec<Unit> = frontier.split_off(frontier.len() - take);
-        let (outcomes, steals) = drain_chunk(opts.jobs, &chunk, |u| {
-            expand(target, opts, cache_on.then_some(cache), u)
-        });
-        stats.steals += steals;
-        stats.units += chunk.len() as u64;
-        // Sequential merge in unit order: every deterministic output
-        // is folded here, jobs-independently.
+        let chunk_bytes: usize = chunk.iter().map(Unit::footprint_bytes).sum();
+        // Expand the whole chunk before merging any of it: no unit sees
+        // a cache insert made by a sibling in the same chunk.
+        let outcomes: Vec<UnitOutcome> = chunk
+            .into_iter()
+            .map(|u| expand(target, opts, cache_on.then_some(cache), u))
+            .collect();
+        stats.units += take as u64;
+        // Merge in unit order.
         for out in outcomes {
             stats.executions += out.executions;
             stats.sleep_blocked += out.sleep_blocked;
             stats.max_depth = stats.max_depth.max(out.max_depth);
             stats.cache_hits += out.frozen_hits;
-            for (from, to, completed) in out.edges {
-                if graph.note_edge(from, to, completed) {
-                    stats.transitions += 1;
-                }
-            }
             let mut start = 0;
             for (end, trace) in &out.chains {
-                // `note_state` copies the slice only for a new state.
-                for &(fp, depth) in &out.states[start..*end] {
-                    graph.note_state(fp, &trace[..depth]);
+                let first_depth = trace.len() + start + 1 - end;
+                for (depth, &(from, to, completed)) in (first_depth..).zip(&out.edges[start..*end])
+                {
+                    // A known edge's target state was noted with it.
+                    if graph.note_edge(from, to, completed) {
+                        stats.transitions += 1;
+                        graph.note_state(to, &trace[..depth]);
+                    }
                 }
                 start = *end;
             }
@@ -775,13 +803,14 @@ pub fn explore_seeded(
                 }
             }
         }
-        // The chunk's snapshots are still alive here, next to every
-        // child it queued.
+        // The chunk's snapshots count as alive next to every child it
+        // queued (an upper bound: a unit's last branch steps its own
+        // snapshot).
         stats.peak_frontier_units = stats
             .peak_frontier_units
-            .max((frontier.len() + chunk.len()) as u64);
+            .max((frontier.len() + take) as u64);
         stats.peak_frontier_bytes = stats.peak_frontier_bytes.max(held_bytes as u64);
-        held_bytes -= chunk.iter().map(Unit::footprint_bytes).sum::<usize>();
+        held_bytes -= chunk_bytes;
         if stats.executions >= opts.max_executions {
             stats.capped = true;
             break;
@@ -799,10 +828,10 @@ pub fn explore_seeded(
     }
 }
 
-/// The pre-parallel recursive depth-first explorer, kept as the
-/// single-threaded baseline `exp_checker_bench` times the frontier
-/// explorer against (and as a differential oracle in tests). Stops at
-/// the first violation in depth-first order; takes no cache.
+/// The recursive depth-first explorer, kept as the replaying baseline
+/// `exp_checker_bench` times the frontier explorer against (and as a
+/// differential oracle in tests). Stops at the first violation in
+/// depth-first order; takes no cache.
 pub fn explore_recursive(target: &CheckTarget, opts: &ExploreOptions) -> ExploreReport {
     struct Rec<'t> {
         target: &'t CheckTarget,
@@ -1172,30 +1201,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_json_are_identical_across_job_counts() {
-        let base = explore(&CAS_COUNTER, &ExploreOptions::default());
-        for jobs in [2, 8] {
-            let par = explore(
-                &CAS_COUNTER,
-                &ExploreOptions {
-                    jobs,
-                    ..ExploreOptions::default()
-                },
-            );
-            assert_eq!(
-                par.deterministic_json("t"),
-                base.deterministic_json("t"),
-                "jobs={jobs}"
-            );
-            let mut par_stats = par.stats.clone();
-            let mut base_stats = base.stats.clone();
-            par_stats.steals = 0;
-            base_stats.steals = 0;
-            assert_eq!(par_stats, base_stats, "jobs={jobs}");
-        }
-    }
-
-    #[test]
     fn running_ops_fingerprint_matches_the_batch_recomputation() {
         let run = run_schedule(&CAS_COUNTER, &[0, 1, 0, 1], 1_000);
         assert!(run.is_terminal());
@@ -1213,18 +1218,51 @@ mod tests {
     #[test]
     fn verify_hash_is_independent_of_the_primary() {
         // Not a proof of independence, but the two functions must at
-        // least disagree on trivial inputs where FNV-1a collides with
-        // nothing to mix.
-        assert_ne!(verify_hash(VERIFY_SEED, &[0]), fnv1a(FP_SEED, &[0]));
-        assert_ne!(
-            verify_hash(VERIFY_SEED, &[1, 2]),
-            verify_hash(VERIFY_SEED, &[2, 1])
-        );
-        // Seeded folding composes, as the streamed state hash relies on.
-        assert_eq!(
-            verify_hash(verify_hash(VERIFY_SEED, &[1]), &[2]),
-            verify_hash(VERIFY_SEED, &[1, 2])
-        );
+        // least disagree on trivial inputs, and both must be
+        // order-sensitive.
+        let fold = |words: &[u64]| {
+            words.iter().fold((FP_SEED, VERIFY_SEED), |(h, v), &w| {
+                (primary_word(h, w), verify_word(v, w))
+            })
+        };
+        let (h, v) = fold(&[0]);
+        assert_ne!(mix64(h), v);
+        assert_ne!(fold(&[1, 2]).0, fold(&[2, 1]).0);
+        assert_ne!(fold(&[1, 2]).1, fold(&[2, 1]).1);
+    }
+
+    /// The fingerprint pair of `run` with every local fingerprint
+    /// recomputed from its process instead of read from the cache.
+    fn pair_recomputed(run: &LiveRun) -> (u64, u64) {
+        let words = run
+            .mem
+            .registers()
+            .iter()
+            .copied()
+            .chain(run.procs.iter().map(|p| p.local_fingerprint()))
+            .chain(run.remaining.iter().map(|&r| u64::from(r)));
+        let (h, v) = words.fold((FP_SEED, VERIFY_SEED), |(h, v), w| {
+            (primary_word(h, w), verify_word(v, w))
+        });
+        (mix64(h), v)
+    }
+
+    #[test]
+    fn cached_local_fingerprints_match_a_recomputation_after_every_step() {
+        let picks: [fn(usize) -> usize; 3] =
+            [|i| i, |i| usize::MAX - i, |i| mix64(i as u64) as usize];
+        for target in crate::targets::registry() {
+            for pick in picks {
+                let schedule = fixed_schedule(&target, pick);
+                let mut run = LiveRun::new(target.build());
+                assert_eq!(run.fingerprint_pair(), pair_recomputed(&run));
+                for (i, &p) in schedule.iter().enumerate() {
+                    let _ = run.step_raw(p, 4_096);
+                    let at = format!("{} after step {i} of {schedule:?}", target.name);
+                    assert_eq!(run.fingerprint_pair(), pair_recomputed(&run), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

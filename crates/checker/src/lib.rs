@@ -12,9 +12,8 @@
 //!   partial-order reduction over snapshots of reached states, driving
 //!   [`pwf_sim::process::Process`] implementations through every
 //!   inequivalent interleaving of a bounded configuration; the
-//!   frontier is drained by a work-stealing pool ([`pool`]) over a
-//!   shared collision-guarded state cache ([`cache`]), with
-//!   deterministic (jobs-independent) merged results;
+//!   frontier is drained on one thread over a collision-guarded state
+//!   cache ([`cache`]);
 //! * [`lin`] — Wing–Gong linearizability checking of the recorded
 //!   operation histories against sequential specs ([`spec`]);
 //! * [`audit`] — lock-freedom auditing: no reachable completion-free
@@ -37,7 +36,6 @@ pub mod cli;
 pub mod explore;
 pub mod lin;
 pub mod op;
-pub mod pool;
 pub mod shrink;
 pub mod spec;
 pub mod target;

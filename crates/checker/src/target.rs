@@ -25,9 +25,11 @@ use crate::spec::Spec;
 /// step returning [`StepOutcome::Completed`], so implementations may
 /// let the value go stale between completions.
 ///
-/// Processes are `Send + Sync` plain data: frontier snapshots are
-/// cloned and expanded on worker threads.
-pub trait CheckProcess: Process + Send + Sync {
+/// Processes are plain data, and a step mutates only the stepping
+/// process and shared memory: the explorer caches every process's
+/// [`local_fingerprint`](Self::local_fingerprint) and refreshes only
+/// the stepping process's entry after a step.
+pub trait CheckProcess: Process {
     /// The operation completed by the most recent `Completed` step.
     fn last_op(&self) -> OpRecord;
 

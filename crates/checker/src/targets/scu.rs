@@ -110,7 +110,7 @@ pub const SCU_2_2: CheckTarget = CheckTarget {
 };
 
 /// `SCU(2, 2)` with a third process — the deep-frontier workload for
-/// parallel exploration. Three processes retrying multi-step scans
+/// frontier exploration. Three processes retrying multi-step scans
 /// against one register create many inequivalent prefixes that
 /// converge on the same reached state, which is exactly what the
 /// shared state cache prunes.

@@ -352,7 +352,7 @@ pub const TAGGED_STACK: CheckTarget = CheckTarget {
 };
 
 /// Tag-protected Treiber stack with a third process — the other
-/// deep-frontier workload for parallel exploration; CAS retry loops
+/// deep-frontier workload for frontier exploration; CAS retry loops
 /// from three contenders converge heavily on shared states.
 pub const TAGGED_STACK_N3: CheckTarget = CheckTarget {
     name: "stack-n3",

@@ -110,6 +110,13 @@ impl SharedMemory {
         self.regs.len()
     }
 
+    /// The register contents, in allocation order: non-step
+    /// inspection for state hashing (not available to simulated
+    /// algorithms).
+    pub fn registers(&self) -> &[u64] {
+        &self.regs
+    }
+
     /// Total system steps (shared-memory accesses) performed so far.
     pub fn steps(&self) -> u64 {
         self.steps

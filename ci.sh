@@ -29,6 +29,8 @@ echo "==> cargo build --release (offline)"
 cargo build --release --offline --workspace
 
 echo "==> cargo test (offline)"
+# One tier: the vendored-proptest property suites run here with
+# everything else.
 cargo test -q --offline --workspace
 
 echo "==> pwfbench self-tests (the benchmark builds against the workspace)"
@@ -112,12 +114,12 @@ grep -q '"speedup"' BENCH_markov.json
 grep -q '"lifting_verified_n": 100' BENCH_markov.json
 grep -q '"states_per_sec"' BENCH_markov.json
 
-echo "==> checker perf smoke: frontier + cache must beat recursive DPOR"
+echo "==> checker perf smoke: the snapshot frontier must beat recursive DPOR"
 # exp_checker_bench times the recursive replaying explorer against
-# the one-thread snapshot frontier with the shared state cache,
-# asserts the cache-off frontier walks exactly the recursive tree, and
-# returns nonzero if the frontier is not strictly faster at the
-# largest target; it also refreshes BENCH_checker.json.
+# the one-thread snapshot frontier, asserts the frontier walks exactly
+# the recursive tree (executions and states), and returns nonzero if
+# the frontier is not strictly faster at the largest target; it also
+# refreshes BENCH_checker.json.
 ./target/release/pwf run exp_checker_bench --fast
 grep -q '"speedup_at_largest"' BENCH_checker.json
 grep -q '"largest_target"' BENCH_checker.json
@@ -149,17 +151,5 @@ echo "==> watchdog gate: clean fleets silent, crashed lock holder trips"
 # dump (under flight/) must name the offending gaps.
 ./target/release/pwf run exp_obs_watchdog --fast
 ls flight/tail-exceedance-*.json >/dev/null
-
-echo "==> serve property tests: LRU vs reference model (vendored proptest)"
-cargo test -q --offline -p pwf-serve --features heavy-deps --test lru_properties
-
-echo "==> sparse-vs-dense solver and CSR row property tests (vendored proptest)"
-cargo test -q --offline --features heavy-deps --test sparse_markov_properties
-
-echo "==> sampler property tests (vendored proptest)"
-cargo test -q --offline -p pwf-sim --features heavy-deps --test sampler_properties
-
-echo "==> obs property tests: histogram monoid + flight round-trip (vendored proptest)"
-cargo test -q --offline --features heavy-deps --test obs_properties
 
 echo "ci.sh: all green"

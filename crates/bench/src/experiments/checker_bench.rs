@@ -1,17 +1,18 @@
 //! `exp_checker_bench` — the perf gate for the DPOR frontier: times the
-//! recursive replaying explorer against the snapshot frontier (with
-//! and without the shared state-fingerprint cache) on the two biggest
-//! built-in targets, recording the trajectory in `BENCH_checker.json`.
+//! recursive replaying explorer against the snapshot frontier on the
+//! two biggest built-in targets, recording the trajectory in
+//! `BENCH_checker.json`.
 //!
 //! Wall-clock measurement is hardware-dependent, so the experiment
 //! registers `deterministic: false` and `pwf check` skips it. What
 //! makes it a test rather than a report:
 //!
-//! - differential parity: with the cache off, the frontier explorer
-//!   must reproduce the recursive baseline's execution count exactly;
-//! - the gate: at the largest target, the frontier with the cache on
-//!   must beat the recursive baseline outright — expanding state
-//!   snapshots instead of replaying every prefix guarantees this.
+//! - differential parity: at the shipped options, the frontier
+//!   explorer must reproduce the recursive baseline's execution and
+//!   state counts exactly;
+//! - the gate: at the largest target, the frontier must beat the
+//!   recursive baseline outright — expanding state snapshots instead
+//!   of replaying every prefix guarantees this.
 //!
 //! Each target also records the peak number of frontier units alive
 //! at once and the bytes their state snapshots held.
@@ -27,7 +28,7 @@ use pwf_runner::{fmt, ExpConfig, ExpResult, FnExperiment, ReportBuilder};
 /// The registered experiment.
 pub const EXP: FnExperiment = FnExperiment {
     name: "exp_checker_bench",
-    description: "Perf gate: recursive DPOR vs snapshot frontier + state cache, BENCH_checker.json",
+    description: "Perf gate: recursive DPOR vs snapshot frontier, BENCH_checker.json",
     sizes: "n=2..3 targets",
     deterministic: false,
     body: fill,
@@ -49,24 +50,10 @@ fn timed<R>(mut f: impl FnMut() -> R) -> (f64, R) {
     (best, out.expect("REPS > 0"))
 }
 
-fn opts(cache: bool) -> ExploreOptions {
-    ExploreOptions {
-        cache,
-        ..ExploreOptions::default()
-    }
-}
-
 fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     out.note("DPOR exploration benchmark: recursive baseline vs the chunked");
-    out.note("snapshot frontier, with and without the shared state cache.");
-    out.header(&[
-        "target",
-        "execs",
-        "rec ms",
-        "frontier ms",
-        "cached ms",
-        "speedup",
-    ]);
+    out.note("snapshot frontier.");
+    out.header(&["target", "execs", "rec ms", "frontier ms", "speedup"]);
 
     // The biggest targets carry the gate; the fast profile swaps the
     // multi-second stack-n3 for its n=2 sibling to keep CI in the
@@ -83,68 +70,51 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     for &name in names {
         let target = find(name).ok_or_else(|| format!("unknown target {name}"))?;
 
-        let (rec_ms, rec) = timed(|| explore_recursive(&target, &opts(false)));
-        let (frontier_ms, nocache) = timed(|| explore(&target, &opts(false)));
-        let (cached_ms, cached) = timed(|| explore(&target, &opts(true)));
+        let opts = ExploreOptions::default();
+        let (rec_ms, rec) = timed(|| explore_recursive(&target, &opts));
+        let (frontier_ms, frontier) = timed(|| explore(&target, &opts));
 
-        // Differential parity: without the cache the frontier drain
-        // must walk exactly the recursive explorer's tree.
-        if nocache.stats.executions != rec.stats.executions
-            || nocache.stats.distinct_states != rec.stats.distinct_states
+        // Differential parity: the frontier drain must walk exactly the
+        // recursive explorer's tree.
+        if frontier.stats.executions != rec.stats.executions
+            || frontier.stats.distinct_states != rec.stats.distinct_states
         {
             return Err(format!(
-                "frontier (cache off) diverges from the recursive baseline on {name}: \
+                "frontier diverges from the recursive baseline on {name}: \
                  {} vs {} executions",
-                nocache.stats.executions, rec.stats.executions
+                frontier.stats.executions, rec.stats.executions
             )
             .into());
         }
-        let speedup = rec_ms / cached_ms;
+        let speedup = rec_ms / frontier_ms;
         gate = Some((name, speedup));
         out.row(&[
             name.to_string(),
-            cached.stats.executions.to_string(),
+            frontier.stats.executions.to_string(),
             fmt(rec_ms),
             fmt(frontier_ms),
-            fmt(cached_ms),
             fmt(speedup),
         ]);
         entries.push(Json::Obj(vec![
             ("name".into(), Json::Str(name.into())),
             (
-                "executions_recursive".into(),
-                Json::Int(rec.stats.executions as i128),
-            ),
-            (
-                "executions_cached".into(),
-                Json::Int(cached.stats.executions as i128),
+                "executions".into(),
+                Json::Int(frontier.stats.executions as i128),
             ),
             (
                 "states".into(),
-                Json::Int(cached.stats.distinct_states as i128),
-            ),
-            // "prunes"/"probes" rather than hits/misses so the trend
-            // gate treats these structural counts as neutral.
-            (
-                "cache_prunes".into(),
-                Json::Int(cached.stats.cache_hits as i128),
-            ),
-            (
-                "cache_probes".into(),
-                Json::Int((cached.stats.cache_hits + cached.stats.cache_misses) as i128),
+                Json::Int(frontier.stats.distinct_states as i128),
             ),
             ("ms_recursive".into(), Json::Num(rec_ms)),
-            ("ms_frontier_nocache".into(), Json::Num(frontier_ms)),
-            ("ms_frontier_cached".into(), Json::Num(cached_ms)),
-            ("speedup_cached".into(), Json::Num(speedup)),
-            ("speedup_nocache".into(), Json::Num(rec_ms / frontier_ms)),
+            ("ms_frontier".into(), Json::Num(frontier_ms)),
+            ("speedup".into(), Json::Num(speedup)),
             (
                 "peak_frontier_units".into(),
-                Json::Int(cached.stats.peak_frontier_units as i128),
+                Json::Int(frontier.stats.peak_frontier_units as i128),
             ),
             (
                 "peak_frontier_bytes".into(),
-                Json::Int(cached.stats.peak_frontier_bytes as i128),
+                Json::Int(frontier.stats.peak_frontier_bytes as i128),
             ),
         ]));
     }
@@ -164,8 +134,8 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     out.note("");
     out.note("trajectory written to BENCH_checker.json.");
 
-    // The gate: the new engine must beat the old one on the biggest
-    // exploration, cache on.
+    // The gate: the frontier must beat the replaying baseline on the
+    // biggest exploration.
     if speedup_at_largest <= 1.0 {
         return Err(format!(
             "frontier exploration is not faster than the recursive baseline on \
@@ -174,7 +144,7 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
         .into());
     }
     out.note(&format!(
-        "gate: frontier + cache beats recursive on {largest} ({speedup_at_largest:.2}x > 1)."
+        "gate: frontier beats recursive on {largest} ({speedup_at_largest:.2}x > 1)."
     ));
     Ok(())
 }

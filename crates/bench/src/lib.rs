@@ -1,4 +1,4 @@
-//! Experiment bodies, figure plotting, and criterion benches for the
+//! Experiment bodies and figure plotting for the
 //! *practically-wait-free* workspace.
 //!
 //! Every table and figure of the paper is a registered experiment in

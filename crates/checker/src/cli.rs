@@ -24,7 +24,6 @@ USAGE:
         --jobs N        accepted for compatibility; exploration runs on
                         one thread, so N changes nothing
         --no-prune      disable partial-order reduction (full tree)
-        --no-cache      disable the shared state-fingerprint cache
         --metrics       print vet.* counters (pwf-obs registry)
         --emit DIR      write counterexample schedules to DIR
         --list          list targets and exit
@@ -49,7 +48,6 @@ struct VetArgs {
     names: Vec<String>,
     fast: bool,
     no_prune: bool,
-    no_cache: bool,
     metrics: bool,
     list: bool,
     replay: Option<PathBuf>,
@@ -61,7 +59,6 @@ fn parse_vet_args(argv: Vec<String>) -> Result<VetArgs, String> {
         names: Vec::new(),
         fast: false,
         no_prune: false,
-        no_cache: false,
         metrics: false,
         list: false,
         replay: None,
@@ -73,7 +70,6 @@ fn parse_vet_args(argv: Vec<String>) -> Result<VetArgs, String> {
         match arg.as_str() {
             "--fast" => args.fast = true,
             "--no-prune" => args.no_prune = true,
-            "--no-cache" => args.no_cache = true,
             "--metrics" => args.metrics = true,
             "--jobs" => {
                 let v = value_of("--jobs")?;
@@ -153,7 +149,6 @@ fn cmd_vet(args: &VetArgs) -> i32 {
         println!("== {} — {}", target.name, target.description);
         let opts = ExploreOptions {
             prune: !args.no_prune,
-            cache: !args.no_cache,
             ..ExploreOptions::default()
         };
         let report = explore(target, &opts);
@@ -166,15 +161,9 @@ fn cmd_vet(args: &VetArgs) -> i32 {
             s.max_depth,
             if s.capped { " (CAPPED)" } else { "" }
         );
-        println!(
-            "   frontier: {} units, cache {} hits / {} misses, {} collisions averted",
-            s.units, s.cache_hits, s.cache_misses, s.collisions_averted
-        );
+        println!("   frontier: {} units", s.units);
         metrics.counter_add("vet.executions", s.executions);
         metrics.counter_add("vet.units", s.units);
-        metrics.counter_add("vet.cache.hits", s.cache_hits);
-        metrics.counter_add("vet.cache.misses", s.cache_misses);
-        metrics.counter_add("vet.cache.collisions_averted", s.collisions_averted);
         metrics.counter_add("vet.targets", 1);
         // Reduction ratio: only meaningful on targets explored to
         // completion with pruning on (mutants stop at the first
@@ -228,7 +217,6 @@ fn cmd_vet(args: &VetArgs) -> i32 {
                     target,
                     &ExploreOptions {
                         prune: false,
-                        cache: !args.no_cache,
                         ..ExploreOptions::default()
                     },
                 ))

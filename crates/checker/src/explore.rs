@@ -28,42 +28,23 @@
 //! false` the sleep sets are ignored and the full schedule tree is
 //! enumerated — the baseline for the reported reduction ratio.
 //!
-//! ## Chunked draining
+//! ## Draining
 //!
 //! The frontier is a LIFO stack of self-contained *units* — a snapshot
 //! of a reached state plus the sleep set and explorable process list
-//! there. Units are drained in fixed-size chunks of 256: every
-//! unit of a chunk is expanded against the cache as it stood when the
-//! chunk began (the cache is frozen during a chunk), and a merge pass
-//! then folds the outcomes — stats, state-graph edges, cache inserts,
-//! child units, violation selection — in unit order. Exploration runs
-//! on the caller's thread: a work-stealing pool once drained each
-//! chunk, but per-chunk spawns and the workers' doubled clone and step
-//! costs made a pass slower at two workers than at one, so the pool
-//! was removed. [`ExploreOptions::jobs`] is accepted and ignored.
+//! there. Expanding a unit writes straight into the exploration: its
+//! state-graph edges, counters and violation candidates are recorded
+//! as each step is taken, and its interior children are pushed onto
+//! the stack. Units are taken from the top of the stack in chunks of
+//! 256; the stop conditions (a violation found, the execution cap
+//! reached) are checked only between chunks, so where a stopped
+//! exploration ends depends on the chunk size alone. Exploration runs
+//! on the caller's thread; [`ExploreOptions::jobs`] is accepted and
+//! ignored.
 //!
-//! Violations are selected order-independently: exploration stops at
-//! chunk granularity once a chunk yields a violation, and the winner
-//! is the minimum by `(schedule length, schedule lexicographic)` among
-//! all candidates found so far.
-//!
-//! ## The shared state cache
-//!
-//! Units from different prefixes can converge on equivalent
-//! configurations. The shared cache ([`crate::cache`]) records every
-//! state committed for expansion under a key covering the full state
-//! fingerprint, an independent verification hash (collision guard),
-//! the operation-history fingerprint (completed ops with their
-//! invoke/response times, plus pending invocation times), the sleep
-//! set, and the depth. Agreement on all five means the subtrees are
-//! step-for-step identical — same histories, same verdicts — except
-//! for per-run livelock truncation points, which depend on the run's
-//! own path; there, any terminal history reached through a revisited
-//! cycle is also reached by the retained instance with the cycle cut
-//! (cutting a completion-free cycle shifts later events uniformly and
-//! preserves every precedence relation, hence the linearizability
-//! verdict). So a cache hit prunes a redundant subtree, never a
-//! verdict-bearing one.
+//! Violations are selected order-independently: the winner is the
+//! minimum by `(schedule length, schedule lexicographic)` among all
+//! candidates found before the stop.
 //!
 //! ## What is checked
 //!
@@ -79,10 +60,10 @@
 //! the run, and liveness is judged by the fair-cycle audit on the
 //! merged state graph instead ([`crate::audit::StateGraph::fair_livelock`]).
 //! Fingerprints are 64-bit, so a hash collision could in principle
-//! misreport; the run-local `seen` table and the shared cache both key
-//! on a *pair* of independent 64-bit hashes, so a single-hash
-//! collision cannot suppress or fabricate a result, and every reported
-//! schedule replays deterministically for confirmation.
+//! misreport; the run-local `seen` table keys on a *pair* of
+//! independent 64-bit hashes, so a single-hash collision cannot
+//! fabricate a livelock, and every reported schedule replays
+//! deterministically for confirmation.
 //!
 //! ## Step hashing
 //!
@@ -96,20 +77,20 @@
 //! word.
 
 use pwf_rng::mix64;
-use pwf_sim::memory::{fnv1a, Access, AccessKind, SharedMemory};
+use pwf_sim::memory::{Access, SharedMemory};
 use pwf_sim::process::ProcessId;
 use std::sync::Arc;
 
 use crate::audit::StateGraph;
-use crate::cache::{SharedCache, StateKey};
 use crate::lin;
 use crate::op::TimedOp;
 use crate::spec::Spec;
 use crate::target::{CheckProcess, CheckTarget, Progress};
 
-/// Units expanded per round against the frozen cache. The chunk bounds
-/// which sibling states see each other's cache inserts, so it fixes
-/// `cache_hits`, `units` and `executions`; changing it changes reports.
+/// Units expanded between checks of the stop conditions. A stopped
+/// exploration (mutants, capped baselines) ends at a chunk boundary, so
+/// the chunk fixes its `units` and `executions`; changing it changes
+/// those reports.
 const CHUNK: usize = 256;
 
 /// Exploration parameters.
@@ -128,8 +109,8 @@ pub struct ExploreOptions {
     /// Accepted for compatibility and ignored: exploration always runs
     /// on the caller's thread.
     pub jobs: usize,
-    /// Cross-schedule shared state cache (only effective with `prune`;
-    /// the naive baseline must re-enumerate everything).
+    /// Accepted for compatibility and ignored: the state cache it
+    /// switched was removed.
     pub cache: bool,
 }
 
@@ -162,14 +143,12 @@ pub struct ExploreStats {
     pub capped: bool,
     /// Frontier units expanded.
     pub units: u64,
-    /// Subtrees pruned because an equivalent state was already
-    /// committed for expansion (shared-cache hits).
+    /// Always 0: kept for callers that read it from the removed state
+    /// cache.
     pub cache_hits: u64,
-    /// States newly committed to the shared cache.
+    /// Always 0: kept for callers that read it from the removed state
+    /// cache.
     pub cache_misses: u64,
-    /// Primary-fingerprint cache hits rejected by the verification
-    /// components (the collision guard firing).
-    pub collisions_averted: u64,
     /// Always 0: kept for callers that read it from the removed
     /// work-stealing pool.
     pub steals: u64,
@@ -235,8 +214,7 @@ impl ExploreReport {
                 "{{\"target\":\"{}\",\"stats\":{{",
                 "\"executions\":{},\"sleep_blocked\":{},\"transitions\":{},",
                 "\"distinct_states\":{},\"max_depth\":{},\"capped\":{},",
-                "\"units\":{},\"cache_hits\":{},\"cache_misses\":{},",
-                "\"collisions_averted\":{}}},\"violation\":{}}}"
+                "\"units\":{}}},\"violation\":{}}}"
             ),
             target,
             s.executions,
@@ -246,9 +224,6 @@ impl ExploreReport {
             s.max_depth,
             s.capped,
             s.units,
-            s.cache_hits,
-            s.cache_misses,
-            s.collisions_averted,
             violation
         )
     }
@@ -262,37 +237,19 @@ const VERIFY_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Folds one state word into the primary fingerprint: a
 /// multiply-xorshift step, bijective in `w` for a fixed `h`, so states
 /// differing in one word never collide. [`LiveRun::compute_pair`]
-/// finalises the fold with [`mix64`].
-fn primary_word(h: u64, w: u64) -> u64 {
+/// finalises the fold with [`mix64`]; targets fold their local
+/// fingerprints with it the same way.
+pub(crate) fn primary_word(h: u64, w: u64) -> u64 {
     let h = (h ^ w).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h ^ (h >> 29)
 }
 
 /// Folds one state word into the independent verification hash: a
 /// SplitMix64-style avalanche chain. Two configurations colliding
-/// under *both* hashes at once is the collision guard's residual risk
+/// under *both* hashes at once is the livelock check's residual risk
 /// (~2⁻¹²⁸ per pair).
 fn verify_word(h: u64, w: u64) -> u64 {
     mix64(h ^ mix64(w.wrapping_add(0xA076_1D64_78BD_642F)))
-}
-
-/// Canonical fingerprint of a sleep set: entries are encoded and
-/// sorted, so equal *sets* built in different orders agree.
-fn sleep_fingerprint(sleep: &[(usize, Access)]) -> u64 {
-    let mut words: Vec<u64> = sleep
-        .iter()
-        .map(|&(q, a)| {
-            let kind = match a.kind {
-                AccessKind::Read => 0u64,
-                AccessKind::Write => 1,
-                AccessKind::CasSuccess => 2,
-                AccessKind::CasFailure => 3,
-            };
-            ((q as u64) << 40) | ((a.register.index() as u64) << 2) | kind
-        })
-        .collect();
-    words.sort_unstable();
-    fnv1a(0x51EE_9CE7, &words)
 }
 
 /// One in-flight execution of a configuration. Cloning a run snapshots
@@ -323,10 +280,6 @@ pub struct LiveRun {
     /// Cached fingerprint pair of the current state (recomputed once
     /// per step from the cached state words).
     fp_pair: (u64, u64),
-    /// Running fingerprint of the completed-operation history,
-    /// maintained incrementally; equals
-    /// [`lin::ops_fingerprint`]`(self.ops())` at all times.
-    ops_fp: u64,
 }
 
 impl LiveRun {
@@ -346,7 +299,6 @@ impl LiveRun {
             seen: Vec::new(),
             livelocked: false,
             fp_pair: (0, 0),
-            ops_fp: 0x1000_0001,
         };
         run.fp_pair = run.compute_pair();
         run.seen.push(run.fp_pair);
@@ -380,14 +332,6 @@ impl LiveRun {
     /// current state.
     pub fn fingerprint_pair(&self) -> (u64, u64) {
         self.fp_pair
-    }
-
-    /// Fingerprint of the operation history so far: completed ops with
-    /// their invoke/response times, plus the pending invocation times.
-    pub fn history_fingerprint(&self) -> u64 {
-        self.op_start
-            .iter()
-            .fold(self.ops_fp, |h, s| fnv1a(h, &[s.map_or(u64::MAX, |v| v)]))
     }
 
     /// Indices of processes that may still step.
@@ -475,7 +419,6 @@ impl LiveRun {
                 response: now,
                 record: self.procs[p].last_op(),
             };
-            self.ops_fp = fold_op(self.ops_fp, &timed);
             self.ops.push(timed);
             self.remaining[p] -= 1;
             self.seen.clear();
@@ -493,27 +436,6 @@ impl LiveRun {
         }
         (access, completed)
     }
-}
-
-/// Folds one completed operation into the running history fingerprint
-/// — the incremental form of [`lin::ops_fingerprint`].
-fn fold_op(h: u64, op: &TimedOp) -> u64 {
-    let name_hash = op
-        .record
-        .name
-        .bytes()
-        .fold(0, |h, b| fnv1a(h, &[u64::from(b)]));
-    fnv1a(
-        h,
-        &[
-            op.process.index() as u64,
-            op.invoke,
-            op.response,
-            name_hash,
-            op.record.input.map_or(u64::MAX, |v| v),
-            op.record.output.map_or(u64::MAX, |v| v),
-        ],
-    )
 }
 
 /// One frontier unit: an unexpanded interior node of the schedule
@@ -534,216 +456,182 @@ impl Unit {
     }
 }
 
-/// Everything a unit expansion produces, merged in unit order by
-/// [`explore_seeded`] once its whole chunk is expanded.
-#[derive(Default)]
-struct UnitOutcome {
-    executions: u64,
-    sleep_blocked: u64,
+/// Steps `run` by process `p` and records the step: a new transition
+/// (and the state it reaches, with the schedule that reached it) in
+/// `graph`, the depth in `stats`. Returns the step's shared-memory
+/// access.
+fn record_step(
+    graph: &mut StateGraph,
+    stats: &mut ExploreStats,
+    run: &mut LiveRun,
+    p: usize,
     max_depth: usize,
-    frozen_hits: u64,
+) -> Access {
+    let from = run.fingerprint();
+    let (access, completed) = run.step_raw(p, max_depth);
+    let to = run.fingerprint();
+    // A known edge's target state was noted with it.
+    if graph.note_edge(from, to, completed) {
+        stats.transitions += 1;
+        graph.note_state(to, run.trace());
+    }
+    stats.max_depth = stats.max_depth.max(run.trace().len());
+    access
+}
+
+/// A frontier exploration in progress: everything expanding a unit
+/// writes to.
+struct Explorer<'a> {
+    target: &'a CheckTarget,
+    opts: &'a ExploreOptions,
+    stats: ExploreStats,
+    graph: StateGraph,
     violation: Option<Violation>,
-    /// `(from, to, completed)` for each child step taken, in step order.
-    edges: Vec<(u64, u64, bool)>,
-    /// One trace per compressed chain, with the end (exclusive) of its
-    /// steps in `edges`: the chain's steps are the last steps of its
-    /// trace, so the state its `k`-th last step reached was first
-    /// reached by the trace minus its last `k - 1` steps.
-    chains: Vec<(usize, Vec<usize>)>,
-    /// Interior children to queue, with their cache keys.
-    children: Vec<(StateKey, Unit)>,
+    /// A LIFO stack of units keeps frontier memory near the depth-first
+    /// footprint; chunks are taken from the top in queue order.
+    frontier: Vec<Unit>,
+    /// Bytes held by the snapshots of every live unit: the queued
+    /// frontier plus the chunk being drained.
+    held_bytes: usize,
 }
 
-/// Keeps the minimal violation by `(schedule length, lexicographic
-/// schedule)` — an order-independent choice, so every candidate found
-/// before the stop lands on the same winner.
-fn consider_violation(best: &mut Option<Violation>, candidate: Option<Violation>) {
-    let Some(c) = candidate else { return };
-    match best {
-        None => *best = Some(c),
-        Some(b) => {
-            if (c.schedule.len(), &c.schedule) < (b.schedule.len(), &b.schedule) {
-                *best = Some(c);
-            }
+impl Explorer<'_> {
+    /// Keeps the minimal violation by `(schedule length, lexicographic
+    /// schedule)` — an order-independent choice, so every candidate
+    /// found before the stop lands on the same winner. The run's
+    /// schedule and ops are copied only when it wins.
+    fn consider_violation(&mut self, kind: ViolationKind, run: &LiveRun) {
+        let schedule = run.trace();
+        let wins = self.violation.as_ref().map_or(true, |best| {
+            (schedule.len(), schedule) < (best.schedule.len(), best.schedule.as_slice())
+        });
+        if wins {
+            self.violation = Some(Violation {
+                kind,
+                schedule: schedule.to_vec(),
+                ops: run.ops().to_vec(),
+            });
         }
     }
-}
 
-/// Expands one frontier unit: steps a copy of its snapshot once per
-/// explorable process (the last process steps the snapshot itself) and
-/// classifies the result (leaf, sleep-blocked, cache-pruned, or a new
-/// unit carrying the stepped run as its snapshot). Reads the frozen
-/// cache; never writes it.
-///
-/// Unary chains are *path-compressed*: while a reached state has
-/// exactly one explorable process, expansion keeps stepping the same
-/// live run instead of queueing a unit, which saves a snapshot clone,
-/// a cache probe and a frontier round trip per chain step. Compressed
-/// states never enter the frontier, so they are neither cache-checked
-/// nor cache-inserted; the decision depends only on the unit itself,
-/// keeping expansion deterministic.
-fn expand(
-    target: &CheckTarget,
-    opts: &ExploreOptions,
-    cache: Option<&SharedCache>,
-    unit: Unit,
-) -> UnitOutcome {
-    let mut out = UnitOutcome::default();
-    let mut explored: Vec<(usize, Access)> = Vec::new();
-    let last = unit.explorable.len().saturating_sub(1);
-    let mut snapshot = Some(unit.run);
-    for (i, &p) in unit.explorable.iter().enumerate() {
-        let mut run = if i == last {
-            snapshot.take()
-        } else {
-            snapshot.clone()
-        }
-        .expect("only the last branch takes the snapshot");
-        let mut sleep_now = unit.sleep.clone();
-        let mut next_p = p;
-        // Sibling sleepers apply to the first step only; compressed
-        // chain steps have no siblings.
-        let mut first = true;
-        let child = loop {
-            let from = run.fingerprint();
-            let (access, completed) = run.step_raw(next_p, opts.max_depth);
-            let to = run.fingerprint();
-            out.edges.push((from, to, completed));
-            out.max_depth = out.max_depth.max(run.trace().len());
-            if first {
-                explored.push((p, access));
-            }
-            if run.livelocked() {
-                out.executions += 1;
-                // Blocking-by-design targets legitimately revisit
-                // states while waiting; the run is truncated, and
-                // liveness is judged by the fair-cycle audit on the
-                // merged graph.
-                if target.progress == Progress::LockFree {
-                    consider_violation(
-                        &mut out.violation,
-                        Some(Violation {
-                            kind: ViolationKind::Livelock,
-                            schedule: run.trace().to_vec(),
-                            ops: run.ops().to_vec(),
-                        }),
-                    );
-                }
-                break None;
-            }
-            if run.is_terminal() {
-                out.executions += 1;
-                if !lin::check(run.spec(), run.ops()).is_linearizable() {
-                    consider_violation(
-                        &mut out.violation,
-                        Some(Violation {
-                            kind: ViolationKind::NotLinearizable,
-                            schedule: run.trace().to_vec(),
-                            ops: run.ops().to_vec(),
-                        }),
-                    );
-                }
-                break None;
-            }
-            // A sibling/inherited sleeper stays asleep only while the
-            // executed step is independent of its pending access.
-            let stepped = next_p;
-            let child_sleep: Vec<(usize, Access)> = if opts.prune {
-                let sibs = if first { explored.as_slice() } else { &[] };
-                sleep_now
-                    .iter()
-                    .chain(sibs.iter())
-                    .filter(|&&(q, a)| q != stepped && !a.conflicts_with(access))
-                    .copied()
-                    .collect()
+    /// Expands one frontier unit: steps a copy of its snapshot once per
+    /// explorable process (the last process steps the snapshot itself)
+    /// and classifies the result — a leaf, a sleep-blocked state, or a
+    /// new unit, pushed onto the frontier with the stepped run as its
+    /// snapshot.
+    ///
+    /// Unary chains are *path-compressed*: while a reached state has
+    /// exactly one explorable process, expansion keeps stepping the
+    /// same live run instead of queueing a unit, which saves a snapshot
+    /// clone and a frontier round trip per chain step.
+    fn expand(&mut self, unit: Unit) {
+        let mut explored: Vec<(usize, Access)> = Vec::new();
+        let last = unit.explorable.len().saturating_sub(1);
+        let mut snapshot = Some(unit.run);
+        for (i, &p) in unit.explorable.iter().enumerate() {
+            let mut run = if i == last {
+                snapshot.take()
             } else {
-                Vec::new()
-            };
-            let explorable: Vec<usize> = run
-                .enabled()
-                .into_iter()
-                .filter(|e| !child_sleep.iter().any(|&(q, _)| q == *e))
-                .collect();
-            match explorable.as_slice() {
-                [] => {
-                    out.sleep_blocked += 1;
-                    break None;
+                snapshot.clone()
+            }
+            .expect("only the last branch takes the snapshot");
+            let mut sleep_now = unit.sleep.clone();
+            let mut next_p = p;
+            // Sibling sleepers apply to the first step only; compressed
+            // chain steps have no siblings.
+            let mut first = true;
+            loop {
+                let access = record_step(
+                    &mut self.graph,
+                    &mut self.stats,
+                    &mut run,
+                    next_p,
+                    self.opts.max_depth,
+                );
+                if first {
+                    explored.push((p, access));
                 }
-                [only] => {
-                    // Path compression: continue inline.
-                    next_p = *only;
-                    sleep_now = child_sleep;
-                    first = false;
-                }
-                _ => {
-                    let (state, verify) = run.fingerprint_pair();
-                    let key = StateKey {
-                        state,
-                        verify,
-                        ops: run.history_fingerprint(),
-                        sleep: sleep_fingerprint(&child_sleep),
-                        depth: run.trace().len() as u32,
-                    };
-                    if cache.is_some_and(|c| c.contains(&key)) {
-                        out.frozen_hits += 1;
-                        break None;
+                if run.livelocked() {
+                    self.stats.executions += 1;
+                    // Blocking-by-design targets legitimately revisit
+                    // states while waiting; the run is truncated, and
+                    // liveness is judged by the fair-cycle audit on the
+                    // merged graph.
+                    if self.target.progress == Progress::LockFree {
+                        self.consider_violation(ViolationKind::Livelock, &run);
                     }
-                    break Some((key, child_sleep, explorable));
+                    break;
+                }
+                if run.is_terminal() {
+                    self.stats.executions += 1;
+                    if !lin::check(run.spec(), run.ops()).is_linearizable() {
+                        self.consider_violation(ViolationKind::NotLinearizable, &run);
+                    }
+                    break;
+                }
+                // A sibling/inherited sleeper stays asleep only while the
+                // executed step is independent of its pending access.
+                let stepped = next_p;
+                let child_sleep: Vec<(usize, Access)> = if self.opts.prune {
+                    let sibs = if first { explored.as_slice() } else { &[] };
+                    sleep_now
+                        .iter()
+                        .chain(sibs.iter())
+                        .filter(|&&(q, a)| q != stepped && !a.conflicts_with(access))
+                        .copied()
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                let explorable: Vec<usize> = run
+                    .enabled()
+                    .into_iter()
+                    .filter(|e| !child_sleep.iter().any(|&(q, _)| q == *e))
+                    .collect();
+                match explorable.as_slice() {
+                    [] => {
+                        self.stats.sleep_blocked += 1;
+                        break;
+                    }
+                    [only] => {
+                        // Path compression: continue inline.
+                        next_p = *only;
+                        sleep_now = child_sleep;
+                        first = false;
+                    }
+                    _ => {
+                        let child = Unit {
+                            run,
+                            sleep: child_sleep,
+                            explorable,
+                        };
+                        self.held_bytes += child.footprint_bytes();
+                        self.frontier.push(child);
+                        break;
+                    }
                 }
             }
-        };
-        out.chains.push((out.edges.len(), run.trace().to_vec()));
-        if let Some((key, sleep, explorable)) = child {
-            out.children.push((
-                key,
-                Unit {
-                    run,
-                    sleep,
-                    explorable,
-                },
-            ));
         }
     }
-    out
 }
 
 /// Exhaustively explores `target` under `opts`.
 pub fn explore(target: &CheckTarget, opts: &ExploreOptions) -> ExploreReport {
-    explore_seeded(target, opts, &SharedCache::new())
-}
-
-/// [`explore`] with a caller-supplied cache. Normal callers want a
-/// fresh cache per exploration; the forged-collision regression test
-/// pre-poisons one to prove the guard holds.
-pub fn explore_seeded(
-    target: &CheckTarget,
-    opts: &ExploreOptions,
-    cache: &SharedCache,
-) -> ExploreReport {
-    let mut stats = ExploreStats::default();
-    let mut graph = StateGraph::default();
-    let mut violation: Option<Violation> = None;
-    // The cache is a pruning layer on top of the reduction; the naive
-    // baseline must enumerate everything, so `prune: false` disables
-    // it too.
-    let cache_on = opts.cache && opts.prune;
-
+    let mut ex = Explorer {
+        target,
+        opts,
+        stats: ExploreStats::default(),
+        graph: StateGraph::default(),
+        violation: None,
+        frontier: Vec::new(),
+        held_bytes: 0,
+    };
     let root = LiveRun::new(target.build());
-    graph.note_state(root.fingerprint(), &[]);
-    // A LIFO stack of units keeps frontier memory near the depth-first
-    // footprint; chunks are taken from the top in queue order.
-    let mut frontier: Vec<Unit> = Vec::new();
-    // Bytes held by the snapshots of every live unit: the queued
-    // frontier plus the chunk being drained.
-    let mut held_bytes = 0usize;
+    ex.graph.note_state(root.fingerprint(), &[]);
     if root.is_terminal() {
-        stats.executions = 1;
+        ex.stats.executions = 1;
         if !lin::check(root.spec(), root.ops()).is_linearizable() {
-            violation = Some(Violation {
-                kind: ViolationKind::NotLinearizable,
-                schedule: Vec::new(),
-                ops: root.ops().to_vec(),
-            });
+            ex.consider_violation(ViolationKind::NotLinearizable, &root);
         }
     } else {
         let unit = Unit {
@@ -751,87 +639,47 @@ pub fn explore_seeded(
             run: root,
             sleep: Vec::new(),
         };
-        held_bytes = unit.footprint_bytes();
-        frontier.push(unit);
+        ex.held_bytes = unit.footprint_bytes();
+        ex.frontier.push(unit);
     }
 
-    while !frontier.is_empty() {
-        let take = frontier.len().min(CHUNK);
-        let chunk: Vec<Unit> = frontier.split_off(frontier.len() - take);
+    while !ex.frontier.is_empty() {
+        let take = ex.frontier.len().min(CHUNK);
+        let chunk = ex.frontier.split_off(ex.frontier.len() - take);
         let chunk_bytes: usize = chunk.iter().map(Unit::footprint_bytes).sum();
-        // Expand the whole chunk before merging any of it: no unit sees
-        // a cache insert made by a sibling in the same chunk.
-        let outcomes: Vec<UnitOutcome> = chunk
-            .into_iter()
-            .map(|u| expand(target, opts, cache_on.then_some(cache), u))
-            .collect();
-        stats.units += take as u64;
-        // Merge in unit order.
-        for out in outcomes {
-            stats.executions += out.executions;
-            stats.sleep_blocked += out.sleep_blocked;
-            stats.max_depth = stats.max_depth.max(out.max_depth);
-            stats.cache_hits += out.frozen_hits;
-            let mut start = 0;
-            for (end, trace) in &out.chains {
-                let first_depth = trace.len() + start + 1 - end;
-                for (depth, &(from, to, completed)) in (first_depth..).zip(&out.edges[start..*end])
-                {
-                    // A known edge's target state was noted with it.
-                    if graph.note_edge(from, to, completed) {
-                        stats.transitions += 1;
-                        graph.note_state(to, &trace[..depth]);
-                    }
-                }
-                start = *end;
-            }
-            consider_violation(&mut violation, out.violation);
-            for (key, unit) in out.children {
-                if cache_on {
-                    if cache.insert(key) {
-                        stats.cache_misses += 1;
-                        held_bytes += unit.footprint_bytes();
-                        frontier.push(unit);
-                    } else {
-                        // A sibling in this same chunk already queued
-                        // an equivalent state.
-                        stats.cache_hits += 1;
-                    }
-                } else {
-                    held_bytes += unit.footprint_bytes();
-                    frontier.push(unit);
-                }
-            }
+        for unit in chunk {
+            ex.expand(unit);
         }
+        ex.stats.units += take as u64;
         // The chunk's snapshots count as alive next to every child it
         // queued (an upper bound: a unit's last branch steps its own
         // snapshot).
-        stats.peak_frontier_units = stats
+        ex.stats.peak_frontier_units = ex
+            .stats
             .peak_frontier_units
-            .max((frontier.len() + take) as u64);
-        stats.peak_frontier_bytes = stats.peak_frontier_bytes.max(held_bytes as u64);
-        held_bytes -= chunk_bytes;
-        if stats.executions >= opts.max_executions {
-            stats.capped = true;
+            .max((ex.frontier.len() + take) as u64);
+        ex.stats.peak_frontier_bytes = ex.stats.peak_frontier_bytes.max(ex.held_bytes as u64);
+        ex.held_bytes -= chunk_bytes;
+        if ex.stats.executions >= opts.max_executions {
+            ex.stats.capped = true;
             break;
         }
-        if violation.is_some() {
+        if ex.violation.is_some() {
             break;
         }
     }
-    stats.distinct_states = graph.state_count() as u64;
-    stats.collisions_averted = cache.collisions_averted();
+    ex.stats.distinct_states = ex.graph.state_count() as u64;
     ExploreReport {
-        stats,
-        violation,
-        graph,
+        stats: ex.stats,
+        violation: ex.violation,
+        graph: ex.graph,
     }
 }
 
 /// The recursive depth-first explorer, kept as the replaying baseline
 /// `exp_checker_bench` times the frontier explorer against (and as a
 /// differential oracle in tests). Stops at the first violation in
-/// depth-first order; takes no cache.
+/// depth-first order.
 pub fn explore_recursive(target: &CheckTarget, opts: &ExploreOptions) -> ExploreReport {
     struct Rec<'t> {
         target: &'t CheckTarget,
@@ -852,15 +700,13 @@ pub fn explore_recursive(target: &CheckTarget, opts: &ExploreOptions) -> Explore
         }
 
         fn step(&mut self, run: &mut LiveRun, p: usize) -> Access {
-            let from = run.fingerprint();
-            let (access, completed) = run.step_raw(p, self.opts.max_depth);
-            let to = run.fingerprint();
-            if self.graph.note_edge(from, to, completed) {
-                self.stats.transitions += 1;
-            }
-            self.graph.note_state(to, run.trace());
-            self.stats.max_depth = self.stats.max_depth.max(run.trace().len());
-            access
+            record_step(
+                &mut self.graph,
+                &mut self.stats,
+                run,
+                p,
+                self.opts.max_depth,
+            )
         }
 
         fn record_violation(&mut self, kind: ViolationKind, run: &LiveRun) {
@@ -985,7 +831,7 @@ mod tests {
     use super::*;
     use crate::op::OpRecord;
     use crate::target::CheckConfig;
-    use pwf_sim::memory::RegisterId;
+    use pwf_sim::memory::{fnv1a, RegisterId};
     use pwf_sim::process::{Process, StepOutcome};
 
     /// A two-step counter increment *with* CAS retry (correct).
@@ -1092,13 +938,11 @@ mod tests {
 
     #[test]
     fn frontier_explorer_matches_the_recursive_baseline_on_clean_targets() {
-        // Cache off: both walk the identical sleep-set-pruned tree, one
-        // from snapshots and one by replaying every prefix. stack-n3 is
-        // left out: its recursive run alone takes seconds.
-        let opts = ExploreOptions {
-            cache: false,
-            ..ExploreOptions::default()
-        };
+        // At the shipped options both walk the identical
+        // sleep-set-pruned tree, one from snapshots and one by replaying
+        // every prefix. stack-n3 is left out: its recursive run alone
+        // takes seconds.
+        let opts = ExploreOptions::default();
         let targets = crate::targets::registry()
             .into_iter()
             .filter(|t| !t.expect_failure && t.name != "stack-n3");
@@ -1141,12 +985,12 @@ mod tests {
         run
     }
 
-    type Observed = ((u64, u64), u64, Vec<usize>, Vec<TimedOp>, bool);
+    type Observed = ((u64, u64), Vec<Option<u64>>, Vec<usize>, Vec<TimedOp>, bool);
 
     fn observe(run: &LiveRun) -> Observed {
         (
             run.fingerprint_pair(),
-            run.history_fingerprint(),
+            run.op_start.clone(),
             run.trace().to_vec(),
             run.ops().to_vec(),
             run.livelocked(),
@@ -1183,39 +1027,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_prunes_without_changing_the_state_graph() {
-        let cached = explore(&CAS_COUNTER, &ExploreOptions::default());
-        let uncached = explore(
-            &CAS_COUNTER,
-            &ExploreOptions {
-                cache: false,
-                ..ExploreOptions::default()
-            },
-        );
-        assert!(cached.stats.executions <= uncached.stats.executions);
-        // The graph is keyed by state fingerprints: a pruned subtree
-        // is a duplicate of an explored one, so the merged graph is
-        // unchanged.
-        assert_eq!(cached.stats.distinct_states, uncached.stats.distinct_states);
-        assert_eq!(cached.stats.transitions, uncached.stats.transitions);
-    }
-
-    #[test]
-    fn running_ops_fingerprint_matches_the_batch_recomputation() {
-        let run = run_schedule(&CAS_COUNTER, &[0, 1, 0, 1], 1_000);
-        assert!(run.is_terminal());
-        let pending: Vec<u64> = run
-            .op_start
-            .iter()
-            .map(|s| s.map_or(u64::MAX, |v| v))
-            .collect();
-        assert_eq!(
-            run.history_fingerprint(),
-            fnv1a(lin::ops_fingerprint(run.ops()), &pending)
-        );
-    }
-
-    #[test]
     fn verify_hash_is_independent_of_the_primary() {
         // Not a proof of independence, but the two functions must at
         // least disagree on trivial inputs, and both must be
@@ -1232,7 +1043,7 @@ mod tests {
     }
 
     /// The fingerprint pair of `run` with every local fingerprint
-    /// recomputed from its process instead of read from the cache.
+    /// recomputed from its process instead of read from `locals`.
     fn pair_recomputed(run: &LiveRun) -> (u64, u64) {
         let words = run
             .mem
@@ -1263,29 +1074,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sleep_fingerprint_is_order_insensitive() {
-        let mut mem = SharedMemory::new();
-        let r1 = mem.alloc(0);
-        let r2 = mem.alloc(0);
-        let a = (
-            0usize,
-            Access {
-                register: r1,
-                kind: AccessKind::Read,
-            },
-        );
-        let b = (
-            1usize,
-            Access {
-                register: r2,
-                kind: AccessKind::Write,
-            },
-        );
-        assert_eq!(sleep_fingerprint(&[a, b]), sleep_fingerprint(&[b, a]));
-        assert_ne!(sleep_fingerprint(&[a]), sleep_fingerprint(&[b]));
     }
 
     #[test]

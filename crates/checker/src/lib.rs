@@ -11,9 +11,8 @@
 //! * [`explore`] — a schedule explorer with sleep-set dynamic
 //!   partial-order reduction over snapshots of reached states, driving
 //!   [`pwf_sim::process::Process`] implementations through every
-//!   inequivalent interleaving of a bounded configuration; the
-//!   frontier is drained on one thread over a collision-guarded state
-//!   cache ([`cache`]);
+//!   inequivalent interleaving of a bounded configuration, drained on
+//!   one thread from a deterministic frontier;
 //! * [`lin`] — Wing–Gong linearizability checking of the recorded
 //!   operation histories against sequential specs ([`spec`]);
 //! * [`audit`] — lock-freedom auditing: no reachable completion-free
@@ -31,7 +30,6 @@
 //! `pwf lint --pass orderings` runs its orderings pass alone.
 
 pub mod audit;
-pub mod cache;
 pub mod cli;
 pub mod explore;
 pub mod lin;

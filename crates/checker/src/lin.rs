@@ -19,8 +19,6 @@
 
 use std::collections::HashSet;
 
-use pwf_sim::memory::fnv1a;
-
 use crate::op::TimedOp;
 use crate::spec::Spec;
 
@@ -122,28 +120,6 @@ fn iter_bits(mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Fingerprint of a set of operations (order-sensitive over the slice),
-/// used by tests to confirm replayed executions reproduce histories.
-pub fn ops_fingerprint(ops: &[TimedOp]) -> u64 {
-    let mut h = 0x1000_0001u64;
-    for op in ops {
-        let name_words: Vec<u64> = op.record.name.bytes().map(u64::from).collect();
-        let name_hash = fnv1a(0, &name_words);
-        h = fnv1a(
-            h,
-            &[
-                op.process.index() as u64,
-                op.invoke,
-                op.response,
-                name_hash,
-                op.record.input.map_or(u64::MAX, |v| v),
-                op.record.output.map_or(u64::MAX, |v| v),
-            ],
-        );
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,13 +207,5 @@ mod tests {
     #[test]
     fn empty_history_is_trivially_linearizable() {
         assert!(check(&Spec::counter(), &[]).is_linearizable());
-    }
-
-    #[test]
-    fn ops_fingerprint_is_order_sensitive() {
-        let a = op(0, 1, 2, "inc", None, Some(0));
-        let b = op(1, 3, 4, "inc", None, Some(1));
-        assert_ne!(ops_fingerprint(&[a, b]), ops_fingerprint(&[b, a]));
-        assert_eq!(ops_fingerprint(&[a, b]), ops_fingerprint(&[a, b]));
     }
 }

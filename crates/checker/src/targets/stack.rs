@@ -16,9 +16,11 @@
 
 use std::sync::Arc;
 
-use pwf_sim::memory::{fnv1a, RegisterId, SharedMemory};
+use pwf_rng::mix64;
+use pwf_sim::memory::{RegisterId, SharedMemory};
 use pwf_sim::process::{Process, StepOutcome};
 
+use crate::explore::primary_word;
 use crate::op::OpRecord;
 use crate::spec::Spec;
 use crate::target::{CheckConfig, CheckProcess, CheckTarget, Progress};
@@ -231,14 +233,13 @@ impl CheckProcess for ScriptStackProcess {
     }
 
     fn local_fingerprint(&self) -> u64 {
-        // Folded piecewise: fnv1a(fnv1a(s, a), b) == fnv1a(s, a ++ b).
-        let h = fnv1a(0xB7E1_5162, &[self.pos as u64, self.phase.code()]);
-        let h = fnv1a(h, &self.phase.words());
-        let h = fnv1a(
-            h,
-            &[self.spare.map_or(0, |s| s + 1), self.recycled.len() as u64],
-        );
-        fnv1a(h, &self.recycled)
+        // Called once per step: fold whole words, then finalise once.
+        let words = [self.pos as u64, self.phase.code()]
+            .into_iter()
+            .chain(self.phase.words())
+            .chain([self.spare.map_or(0, |s| s + 1), self.recycled.len() as u64])
+            .chain(self.recycled.iter().copied());
+        mix64(words.fold(0xB7E1_5162, primary_word))
     }
 
     fn clone_box(&self) -> Box<dyn CheckProcess> {

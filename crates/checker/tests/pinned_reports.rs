@@ -12,32 +12,32 @@ use pwf_checker::targets::{find, registry};
 
 /// One pinned report per registry target, in registry order.
 const PRUNED: [&str; 14] = [
-    r#"{"target":"counter","stats":{"executions":10,"sleep_blocked":0,"transitions":30,"distinct_states":26,"max_depth":7,"capped":false,"units":9,"cache_hits":0,"cache_misses":8,"collisions_averted":0},"violation":null}"#,
-    r#"{"target":"stack","stats":{"executions":79,"sleep_blocked":36,"transitions":240,"distinct_states":194,"max_depth":26,"capped":false,"units":115,"cache_hits":1,"cache_misses":114,"collisions_averted":0},"violation":null}"#,
-    r#"{"target":"stack-aba-scenario","stats":{"executions":25,"sleep_blocked":7,"transitions":130,"distinct_states":118,"max_depth":24,"capped":false,"units":31,"cache_hits":0,"cache_misses":30,"collisions_averted":0},"violation":null}"#,
-    r#"{"target":"stack-n3","stats":{"executions":8969,"sleep_blocked":4270,"transitions":4205,"distinct_states":3067,"max_depth":42,"capped":false,"units":12675,"cache_hits":8,"cache_misses":12674,"collisions_averted":0},"violation":null}"#,
-    r#"{"target":"scu-0-1","stats":{"executions":46,"sleep_blocked":0,"transitions":221,"distinct_states":210,"max_depth":14,"capped":false,"units":45,"cache_hits":0,"cache_misses":44,"collisions_averted":0},"violation":null}"#,
-    r#"{"target":"scu-2-2","stats":{"executions":46,"sleep_blocked":27,"transitions":588,"distinct_states":577,"max_depth":29,"capped":false,"units":72,"cache_hits":0,"cache_misses":71,"collisions_averted":0},"violation":null}"#,
-    r#"{"target":"scu-2-2-n3","stats":{"executions":446,"sleep_blocked":295,"transitions":3668,"distinct_states":3363,"max_depth":35,"capped":false,"units":701,"cache_hits":0,"cache_misses":700,"collisions_averted":0},"violation":null}"#,
-    r#"{"target":"parallel","stats":{"executions":1,"sleep_blocked":6,"transitions":48,"distinct_states":49,"max_depth":12,"capped":false,"units":6,"cache_hits":0,"cache_misses":5,"collisions_averted":0},"violation":null}"#,
-    r#"{"target":"dedup","stats":{"executions":6,"sleep_blocked":1,"transitions":24,"distinct_states":20,"max_depth":7,"capped":false,"units":6,"cache_hits":0,"cache_misses":5,"collisions_averted":0},"violation":null}"#,
-    r#"{"target":"counter-rw-mutant","stats":{"executions":5,"sleep_blocked":0,"transitions":37,"distinct_states":34,"max_depth":8,"capped":false,"units":12,"cache_hits":0,"cache_misses":19,"collisions_averted":0},"violation":{"kind":"not-linearizable","schedule":[1,1,0,1,1,0,0,0]}}"#,
-    r#"{"target":"stack-aba-mutant","stats":{"executions":14,"sleep_blocked":5,"transitions":129,"distinct_states":116,"max_depth":20,"capped":false,"units":22,"cache_hits":0,"cache_misses":25,"collisions_averted":0},"violation":{"kind":"not-linearizable","schedule":[0,0,0,1,1,1,1,1,1,1,1,1,1,1,1,0]}}"#,
-    r#"{"target":"livelock-mutant","stats":{"executions":2,"sleep_blocked":0,"transitions":3,"distinct_states":2,"max_depth":2,"capped":false,"units":1,"cache_hits":0,"cache_misses":0,"collisions_averted":0},"violation":{"kind":"livelock","schedule":[1]}}"#,
-    r#"{"target":"spinner-pair-mutant","stats":{"executions":2,"sleep_blocked":0,"transitions":1,"distinct_states":1,"max_depth":1,"capped":false,"units":1,"cache_hits":0,"cache_misses":0,"collisions_averted":0},"violation":null}"#,
-    r#"{"target":"dedup-lost-wakeup-mutant","stats":{"executions":5,"sleep_blocked":2,"transitions":25,"distinct_states":23,"max_depth":7,"capped":false,"units":7,"cache_hits":0,"cache_misses":7,"collisions_averted":0},"violation":{"kind":"not-linearizable","schedule":[0,0,0,1,1,1,0]}}"#,
+    r#"{"target":"counter","stats":{"executions":10,"sleep_blocked":0,"transitions":30,"distinct_states":26,"max_depth":7,"capped":false,"units":9},"violation":null}"#,
+    r#"{"target":"stack","stats":{"executions":86,"sleep_blocked":37,"transitions":240,"distinct_states":194,"max_depth":26,"capped":false,"units":122},"violation":null}"#,
+    r#"{"target":"stack-aba-scenario","stats":{"executions":25,"sleep_blocked":7,"transitions":130,"distinct_states":118,"max_depth":24,"capped":false,"units":31},"violation":null}"#,
+    r#"{"target":"stack-n3","stats":{"executions":9318,"sleep_blocked":4402,"transitions":4205,"distinct_states":3067,"max_depth":42,"capped":false,"units":13132},"violation":null}"#,
+    r#"{"target":"scu-0-1","stats":{"executions":46,"sleep_blocked":0,"transitions":221,"distinct_states":210,"max_depth":14,"capped":false,"units":45},"violation":null}"#,
+    r#"{"target":"scu-2-2","stats":{"executions":46,"sleep_blocked":27,"transitions":588,"distinct_states":577,"max_depth":29,"capped":false,"units":72},"violation":null}"#,
+    r#"{"target":"scu-2-2-n3","stats":{"executions":446,"sleep_blocked":295,"transitions":3668,"distinct_states":3363,"max_depth":35,"capped":false,"units":701},"violation":null}"#,
+    r#"{"target":"parallel","stats":{"executions":1,"sleep_blocked":6,"transitions":48,"distinct_states":49,"max_depth":12,"capped":false,"units":6},"violation":null}"#,
+    r#"{"target":"dedup","stats":{"executions":6,"sleep_blocked":1,"transitions":24,"distinct_states":20,"max_depth":7,"capped":false,"units":6},"violation":null}"#,
+    r#"{"target":"counter-rw-mutant","stats":{"executions":5,"sleep_blocked":0,"transitions":37,"distinct_states":34,"max_depth":8,"capped":false,"units":12},"violation":{"kind":"not-linearizable","schedule":[1,1,0,1,1,0,0,0]}}"#,
+    r#"{"target":"stack-aba-mutant","stats":{"executions":14,"sleep_blocked":5,"transitions":129,"distinct_states":116,"max_depth":20,"capped":false,"units":22},"violation":{"kind":"not-linearizable","schedule":[0,0,0,1,1,1,1,1,1,1,1,1,1,1,1,0]}}"#,
+    r#"{"target":"livelock-mutant","stats":{"executions":2,"sleep_blocked":0,"transitions":3,"distinct_states":2,"max_depth":2,"capped":false,"units":1},"violation":{"kind":"livelock","schedule":[1]}}"#,
+    r#"{"target":"spinner-pair-mutant","stats":{"executions":2,"sleep_blocked":0,"transitions":1,"distinct_states":1,"max_depth":1,"capped":false,"units":1},"violation":null}"#,
+    r#"{"target":"dedup-lost-wakeup-mutant","stats":{"executions":5,"sleep_blocked":2,"transitions":25,"distinct_states":23,"max_depth":7,"capped":false,"units":7},"violation":{"kind":"not-linearizable","schedule":[0,0,0,1,1,1,0]}}"#,
 ];
 
 /// The unpruned reports the fair audit runs on, with its verdict.
 const UNPRUNED: [(&str, &str, bool); 2] = [
     (
         "dedup",
-        r#"{"target":"dedup","stats":{"executions":20,"sleep_blocked":0,"transitions":32,"distinct_states":20,"max_depth":7,"capped":false,"units":19,"cache_hits":0,"cache_misses":0,"collisions_averted":0},"violation":null}"#,
+        r#"{"target":"dedup","stats":{"executions":20,"sleep_blocked":0,"transitions":32,"distinct_states":20,"max_depth":7,"capped":false,"units":19},"violation":null}"#,
         false,
     ),
     (
         "dedup-lost-wakeup-mutant",
-        r#"{"target":"dedup-lost-wakeup-mutant","stats":{"executions":26,"sleep_blocked":0,"transitions":38,"distinct_states":26,"max_depth":7,"capped":false,"units":25,"cache_hits":0,"cache_misses":0,"collisions_averted":0},"violation":{"kind":"not-linearizable","schedule":[0,0,0,1,1,1,0]}}"#,
+        r#"{"target":"dedup-lost-wakeup-mutant","stats":{"executions":26,"sleep_blocked":0,"transitions":38,"distinct_states":26,"max_depth":7,"capped":false,"units":25},"violation":{"kind":"not-linearizable","schedule":[0,0,0,1,1,1,0]}}"#,
         false,
     ),
 ];
@@ -84,6 +84,24 @@ fn pruned_reports_of_every_target_are_pinned() {
     for (target, pinned) in targets.iter().zip(PRUNED) {
         let report = explore(target, &ExploreOptions::default());
         assert_eq!(report.deterministic_json(target.name), pinned);
+    }
+}
+
+#[test]
+fn the_ignored_cache_option_leaves_every_report_unchanged() {
+    // Callers still set `cache`; it must not select another path.
+    for target in registry() {
+        let with = |cache| {
+            explore(
+                &target,
+                &ExploreOptions {
+                    cache,
+                    ..ExploreOptions::default()
+                },
+            )
+            .deterministic_json(target.name)
+        };
+        assert_eq!(with(true), with(false), "{}", target.name);
     }
 }
 

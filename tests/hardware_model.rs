@@ -5,11 +5,6 @@
 //! this file pins down sequential semantics, pool accounting, and
 //! error behaviour.)
 
-// Proptest is an external crate gated behind `heavy-deps` so the
-// default workspace builds with zero crates.io dependencies; enable
-// the feature to run this suite.
-#![cfg(feature = "heavy-deps")]
-
 use practically_wait_free::hardware::msqueue::{MsQueue, QueueError};
 use practically_wait_free::hardware::treiber::{StackError, TreiberStack};
 use proptest::prelude::*;

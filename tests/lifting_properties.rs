@@ -2,11 +2,6 @@
 //! distributions, hitting times, ergodic flow, and liftings on
 //! randomly generated chains.
 
-// Proptest is an external crate gated behind `heavy-deps` so the
-// default workspace builds with zero crates.io dependencies; enable
-// the feature to run this suite.
-#![cfg(feature = "heavy-deps")]
-
 use practically_wait_free::markov::chain::MarkovChain;
 use practically_wait_free::markov::flow::ErgodicFlow;
 use practically_wait_free::markov::hitting::hitting_times;

@@ -4,11 +4,6 @@
 //! schema, and latency summaries never panic on adversarial timestamp
 //! streams.
 
-// Proptest is an external crate gated behind `heavy-deps` so the
-// default workspace builds with zero crates.io dependencies; enable
-// the feature to run this suite.
-#![cfg(feature = "heavy-deps")]
-
 use practically_wait_free::obs::{
     Event, EventKind, FlightDump, Histogram, LatencySummary, Watchdog, DEFAULT_KEEP_PER_THREAD,
     DEFAULT_MAX_OFFENDERS,

@@ -1,11 +1,6 @@
 //! Property-based tests on the simulator: executions are well-formed
 //! regardless of algorithm, scheduler, seed, or crash pattern.
 
-// Proptest is an external crate gated behind `heavy-deps` so the
-// default workspace builds with zero crates.io dependencies; enable
-// the feature to run this suite.
-#![cfg(feature = "heavy-deps")]
-
 use practically_wait_free::core::{AlgorithmSpec, SchedulerSpec, SimExperiment};
 use proptest::prelude::*;
 

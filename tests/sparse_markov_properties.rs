@@ -4,11 +4,6 @@
 //! round-trip builder input exactly, and its rows must read back
 //! deterministically and stochastically.
 
-// Proptest is an external crate gated behind `heavy-deps` so the
-// default workspace builds with zero crates.io dependencies; enable
-// the feature to run this suite.
-#![cfg(feature = "heavy-deps")]
-
 use practically_wait_free::markov::chain::{ChainBuilder, MarkovChain};
 use practically_wait_free::markov::linalg::Matrix;
 use practically_wait_free::markov::solve::PowerOptions;
@@ -177,8 +172,8 @@ proptest! {
             sparse.transition(i, j, p);
         }
         // Sources with no entries get a self loop in both builders.
-        for s in 0..6usize {
-            if row_sum[s] == 0.0 {
+        for (s, &sum) in row_sum.iter().enumerate() {
+            if sum == 0.0 {
                 dense = dense.transition(s, s, 1.0);
                 sparse.transition(s, s, 1.0);
             }

@@ -22,8 +22,8 @@ trap archive_flight EXIT
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy (offline, -D warnings)"
-cargo clippy --workspace --offline -- -D warnings
+echo "==> cargo clippy (offline, all targets, -D warnings)"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo build --release (offline)"
 cargo build --release --offline --workspace

@@ -9,8 +9,8 @@
 //! * [`unbounded`] — the unbounded lock-free algorithm that is *not*
 //!   wait-free w.h.p. (Algorithm 1, Lemma 2).
 //! * [`treiber`], [`rcu`] — data-structure instances of the SCU
-//!   pattern (Treiber stack \[21\], RCU \[7\]) with built-in
-//!   linearizability checking.
+//!   pattern (Treiber stack \[21\], RCU \[7\]). The Treiber stack's
+//!   processes are the ones `pwf vet` explores, ABA mutant included.
 //! * [`chains`] — exact individual/system chains and lifting maps for
 //!   `SCU(0, 1)`, parallel code, and fetch-and-increment
 //!   (Sections 6.1.1, 6.2, 7.1).

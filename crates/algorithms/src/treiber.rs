@@ -1,267 +1,296 @@
 //! A simulated Treiber stack (reference \[21\] in the paper) — the
-//! canonical `SCU(q, 1)`-shaped data structure: each push/pop scans
-//! the head register and validates with a single CAS.
+//! canonical `SCU(q, 1)`-shaped data structure: each push and pop
+//! reads the `top` register and validates with a single CAS.
 //!
-//! Nodes live in per-process pools; head values pack `(tag, slot)`
-//! with a monotonically increasing tag so node reuse cannot cause ABA.
-//! A sequential shadow stack is threaded through the simulation (the
-//! simulator executes one atomic step at a time, so successful CASes
-//! are linearization points) and every pop is checked against it.
+//! The stack is array-backed: node `i` (1-based) owns a value register
+//! and a next register, and `top` packs `(node index, tag)`. A
+//! [`StackProcess`] runs a script of pushes and pops, repeated when it
+//! ends. Node management is local: each process owns one spare node
+//! and reuses the nodes it pops, oldest first (the paper's cost model
+//! treats this `malloc`/`free` as free local computation).
+//!
+//! On a tagged stack every successful CAS of `top` bumps the tag, so a
+//! stale `top` observation can never match again. The untagged stack
+//! is the classic ABA mutant: once a popped node is reused by a push,
+//! a stale CAS succeeds against the bit-identical `top` and splices
+//! the popped node back in, which shows up as a duplicate pop.
+//!
+//! These are the processes `pwf vet` explores (its `stack*` targets
+//! check every history against a sequential stack); the tests below
+//! replay long simulated runs against a sequential stack the same way.
+//! A process is plain data over the shared, immutable [`SimStack`], so
+//! cloning one snapshots it.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::Arc;
 
-use pwf_sim::memory::{RegisterId, SharedMemory};
-use pwf_sim::process::{Process, ProcessId, StepOutcome};
+use pwf_rng::mix64;
+use pwf_sim::memory::{fold_word, RegisterId, SharedMemory};
+use pwf_sim::process::{Process, StepOutcome};
 
-/// Sentinel head value for the empty stack.
-const EMPTY: u64 = 0;
-
-fn pack(tag: u32, slot: u32) -> u64 {
-    ((tag as u64) << 32) | slot as u64
-}
-
-fn unpack(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, v as u32)
-}
-
-/// Bookkeeping shared by all handles of one stack: the shadow model,
-/// the free-slot pool, and the global ABA tag counter.
-///
-/// Slot allocation models local memory management (`malloc`/`free`),
-/// which the paper's cost model treats as free local computation; the
-/// *shared-memory* protocol is untouched by it. Tags come from a
-/// single rising counter, so a recycled slot always re-enters the
-/// stack under a head value that was never used before — ruling out
-/// ABA by construction.
-#[derive(Debug)]
-struct StackMeta {
-    shadow: Vec<u64>,
-    free_slots: Vec<u32>,
-    next_tag: u32,
-}
-
-/// The shared registers of a simulated Treiber stack: a head register
-/// plus one `next` register and one `value` register per node slot.
-#[derive(Debug, Clone)]
-pub struct SimStack {
-    head: RegisterId,
-    next: Vec<RegisterId>,
-    value: Vec<RegisterId>,
-    meta: Rc<RefCell<StackMeta>>,
-}
-
-impl SimStack {
-    /// Allocates a stack with `slots` node slots (slot 0 is reserved
-    /// as the null sentinel). The pool must be large enough for the
-    /// peak number of live plus in-flight nodes; with `n` processes
-    /// alternating push/pop, `2n + 1` slots always suffice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots < 2`.
-    pub fn alloc(mem: &mut SharedMemory, slots: usize) -> Self {
-        assert!(slots >= 2, "need at least one usable slot");
-        let head = mem.alloc(EMPTY);
-        let next = (0..slots).map(|_| mem.alloc(EMPTY)).collect();
-        let value = (0..slots).map(|_| mem.alloc(0)).collect();
-        SimStack {
-            head,
-            next,
-            value,
-            meta: Rc::new(RefCell::new(StackMeta {
-                shadow: Vec::new(),
-                free_slots: (1..slots as u32).rev().collect(),
-                next_tag: 0,
-            })),
-        }
-    }
-
-    /// The abstract stack contents according to the shadow model
-    /// (bottom to top).
-    pub fn shadow_contents(&self) -> Vec<u64> {
-        self.meta.borrow().shadow.clone()
-    }
-
-    /// Number of node slots.
-    pub fn slots(&self) -> usize {
-        self.next.len()
-    }
-
-    fn take_slot(&self) -> u64 {
-        let mut meta = self.meta.borrow_mut();
-        let slot = meta
-            .free_slots
-            .pop()
-            .expect("slot pool exhausted: allocate the stack with more slots");
-        meta.next_tag += 1;
-        pack(meta.next_tag, slot)
-    }
-
-    fn release_slot(&self, slot: u32) {
-        self.meta.borrow_mut().free_slots.push(slot);
-    }
-}
-
+/// One scripted stack operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Push,
+pub enum StackOp {
+    /// Push the given value.
+    Push(u64),
+    /// Pop (possibly observing an empty stack).
     Pop,
 }
 
+/// A completed stack operation and what it returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StackResult {
+    /// A push of the given value.
+    Pushed(u64),
+    /// A pop returning the top value, or `None` on an empty stack.
+    Popped(Option<u64>),
+}
+
+fn pack(idx: u64, tag: u64) -> u64 {
+    (idx << 32) | (tag & 0xFFFF_FFFF)
+}
+
+fn idx_of(packed: u64) -> u64 {
+    packed >> 32
+}
+
+fn tag_of(packed: u64) -> u64 {
+    packed & 0xFFFF_FFFF
+}
+
+/// The register layout of a simulated Treiber stack. It never changes
+/// after [`SimStack::alloc`], so processes share it through an [`Arc`].
+#[derive(Debug)]
+pub struct SimStack {
+    top: RegisterId,
+    /// `value[i - 1]` for node `i`.
+    value: Vec<RegisterId>,
+    /// `next[i - 1]` for node `i` (stores a plain node index, 0 = nil).
+    next: Vec<RegisterId>,
+    /// Nodes holding the initial contents; process `i`'s spare node is
+    /// `initial + i + 1`.
+    initial: usize,
+    /// Whether successful CASes of `top` bump the tag.
+    tagged: bool,
+}
+
+impl SimStack {
+    /// Allocates a stack holding `initial` (bottom first, in nodes
+    /// `1..`) plus one spare node for each of `procs` processes.
+    /// `tagged = false` builds the ABA mutant, whose CASes never bump
+    /// the tag.
+    pub fn alloc(mem: &mut SharedMemory, initial: &[u64], procs: usize, tagged: bool) -> Arc<Self> {
+        let top = mem.alloc(pack(initial.len() as u64, 0));
+        let mut value = Vec::new();
+        let mut next = Vec::new();
+        for (i, &v) in initial.iter().enumerate() {
+            value.push(mem.alloc(v));
+            next.push(mem.alloc(i as u64)); // node i+1 links down to node i
+        }
+        for _ in 0..procs {
+            value.push(mem.alloc(0));
+            next.push(mem.alloc(0));
+        }
+        Arc::new(SimStack {
+            top,
+            value,
+            next,
+            initial: initial.len(),
+            tagged,
+        })
+    }
+}
+
+/// Where a stack process is inside its current operation.
+#[derive(Debug, Clone, Copy)]
 enum Phase {
-    /// Read the head register (scan).
-    ReadHead,
-    /// Push, first attempt only: initialize the new node's value
-    /// (the preamble of the operation in `SCU` terms).
-    InitNode,
-    /// Push only: write the new node's `next` pointer.
-    WriteNext,
-    /// Pop only: read the head node's `next` pointer.
-    ReadNext,
-    /// CAS the head register (validate).
-    Cas,
+    /// About to begin the next scripted op (or retry a pop from the
+    /// top read).
+    Start,
+    /// Push: wrote the value, about to read top. `node` is ours.
+    PushReadTop { node: u64, v: u64 },
+    /// Push: read top `t`, about to link our node to it.
+    PushWriteNext { node: u64, v: u64, t: u64 },
+    /// Push: about to CAS top from `t` to our node.
+    PushCas { node: u64, v: u64, t: u64 },
+    /// Pop: read top `t` (non-nil), about to read its next pointer.
+    PopReadNext { t: u64 },
+    /// Pop: about to read the value of the node top points to.
+    PopReadValue { t: u64, n: u64 },
+    /// Pop: about to CAS top from `t` to `n`.
+    PopCas { t: u64, n: u64, v: u64 },
 }
 
-/// A process alternating push and pop operations on a [`SimStack`].
-///
-/// Nodes are drawn from the stack's shared slot pool with globally
-/// unique tags, so the stack runs indefinitely in bounded memory
-/// without ABA.
-#[derive(Debug, Clone)]
-pub struct StackProcess {
-    id: ProcessId,
-    stack: SimStack,
-    op: Op,
-    phase: Phase,
-    /// Head value observed by the scan.
-    observed: u64,
-    /// For push: the packed node being linked in.
-    pending_node: u64,
-    /// For push: the value stored in the pending node.
-    pending_value: u64,
-    /// Whether the pending node has been initialized (survives failed
-    /// CAS retries, like a real allocated node).
-    node_ready: bool,
-    /// For pop: the observed head's successor.
-    successor: u64,
-    /// Monotone counter making pushed values unique per process.
-    push_seq: u64,
-    /// Completed (op, value) log for verification.
-    log: Vec<(bool, u64)>,
-}
-
-impl StackProcess {
-    /// Creates a stack process.
-    pub fn new(id: ProcessId, stack: SimStack) -> Self {
-        StackProcess {
-            id,
-            stack,
-            op: Op::Push,
-            phase: Phase::ReadHead,
-            observed: EMPTY,
-            pending_node: EMPTY,
-            pending_value: 0,
-            node_ready: false,
-            successor: EMPTY,
-            push_seq: 0,
-            log: Vec::new(),
+impl Phase {
+    fn code(self) -> u64 {
+        match self {
+            Phase::Start => 0,
+            Phase::PushReadTop { .. } => 1,
+            Phase::PushWriteNext { .. } => 2,
+            Phase::PushCas { .. } => 3,
+            Phase::PopReadNext { .. } => 4,
+            Phase::PopReadValue { .. } => 5,
+            Phase::PopCas { .. } => 6,
         }
     }
 
-    /// The completed operations `(is_push, value)` of this process.
-    pub fn log(&self) -> &[(bool, u64)] {
-        &self.log
+    fn words(self) -> [u64; 4] {
+        match self {
+            Phase::Start => [0; 4],
+            Phase::PushReadTop { node, v } => [node, v, 0, 0],
+            Phase::PushWriteNext { node, v, t } => [node, v, t, 0],
+            Phase::PushCas { node, v, t } => [node, v, t, 0],
+            Phase::PopReadNext { t } => [t, 0, 0, 0],
+            Phase::PopReadValue { t, n } => [t, n, 0, 0],
+            Phase::PopCas { t, n, v } => [t, n, v, 0],
+        }
+    }
+}
+
+/// A process running a script of pushes and pops against a
+/// [`SimStack`]. A push takes 4 steps (write value, read top, write
+/// next, CAS), a pop of a non-empty stack 4 (read top, read next, read
+/// value, CAS) and a pop of an empty stack 1; a failed CAS retries
+/// from the top read.
+#[derive(Debug, Clone)]
+pub struct StackProcess {
+    stack: Arc<SimStack>,
+    script: Arc<[StackOp]>,
+    /// Operations completed; the current one is
+    /// `script[pos % script.len()]`.
+    pos: usize,
+    phase: Phase,
+    /// Nodes this process popped and may reuse, oldest first — FIFO
+    /// reuse maximises the window for ABA in the mutant.
+    recycled: Vec<u64>,
+    /// The process's own node, for pushes that outnumber prior pops.
+    spare: Option<u64>,
+    last: Option<StackResult>,
+}
+
+impl StackProcess {
+    /// Creates process `index` of `stack`, running `script` and
+    /// starting over when it ends.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stack` has no spare node for `index`. A push panics
+    /// when the process has no node: neither its spare nor one it
+    /// popped.
+    pub fn new(stack: &Arc<SimStack>, index: usize, script: &[StackOp]) -> Self {
+        let spare = stack.initial + index + 1;
+        assert!(
+            spare <= stack.value.len(),
+            "no spare node for process {index}"
+        );
+        StackProcess {
+            stack: Arc::clone(stack),
+            script: Arc::from(script),
+            pos: 0,
+            phase: Phase::Start,
+            recycled: Vec::new(),
+            spare: Some(spare as u64),
+            last: None,
+        }
     }
 
-    fn begin_next_op(&mut self) {
-        self.op = match self.op {
-            Op::Push => Op::Pop,
-            Op::Pop => Op::Push,
-        };
-        self.phase = Phase::ReadHead;
+    /// The most recent completed operation, if any.
+    pub fn last_completed(&self) -> Option<StackResult> {
+        self.last
+    }
+
+    /// Fingerprint of the behaviour-relevant local state: script
+    /// position, phase and its cached reads, and the nodes in hand.
+    pub fn fingerprint(&self) -> u64 {
+        let words = [self.pos as u64, self.phase.code()]
+            .into_iter()
+            .chain(self.phase.words())
+            .chain([self.spare.map_or(0, |s| s + 1), self.recycled.len() as u64])
+            .chain(self.recycled.iter().copied());
+        mix64(words.fold(0xB7E1_5162, fold_word))
+    }
+
+    fn bump(&self, tag: u64) -> u64 {
+        if self.stack.tagged {
+            tag + 1
+        } else {
+            tag
+        }
+    }
+
+    fn complete(&mut self, result: StackResult) -> StepOutcome {
+        self.last = Some(result);
+        self.pos += 1;
+        self.phase = Phase::Start;
+        StepOutcome::Completed
     }
 }
 
 impl Process for StackProcess {
     fn step(&mut self, mem: &mut SharedMemory) -> StepOutcome {
-        match (self.op, self.phase) {
-            (_, Phase::ReadHead) => {
-                self.observed = mem.read(self.stack.head);
-                self.phase = match self.op {
-                    Op::Push if !self.node_ready => Phase::InitNode,
-                    Op::Push => Phase::WriteNext,
-                    Op::Pop if self.observed == EMPTY => {
-                        // Empty pop: reading an empty head completes
-                        // the operation (returns "empty").
-                        self.log.push((false, u64::MAX));
-                        self.begin_next_op();
-                        return StepOutcome::Completed;
+        let s: &SimStack = &self.stack;
+        match self.phase {
+            Phase::Start => match self.script[self.pos % self.script.len()] {
+                StackOp::Push(v) => {
+                    let node = if self.recycled.is_empty() {
+                        self.spare.take().expect("push with no node available")
+                    } else {
+                        self.recycled.remove(0)
+                    };
+                    mem.write(s.value[node as usize - 1], v);
+                    self.phase = Phase::PushReadTop { node, v };
+                    StepOutcome::Ongoing
+                }
+                StackOp::Pop => {
+                    let t = mem.read(s.top);
+                    if idx_of(t) == 0 {
+                        self.complete(StackResult::Popped(None))
+                    } else {
+                        self.phase = Phase::PopReadNext { t };
+                        StepOutcome::Ongoing
                     }
-                    Op::Pop => Phase::ReadNext,
-                };
+                }
+            },
+            Phase::PushReadTop { node, v } => {
+                let t = mem.read(s.top);
+                self.phase = Phase::PushWriteNext { node, v, t };
                 StepOutcome::Ongoing
             }
-            (Op::Push, Phase::InitNode) => {
-                self.pending_node = self.stack.take_slot();
-                self.pending_value = ((self.id.index() as u64) << 48) | self.push_seq;
-                self.push_seq += 1;
-                let (_, slot) = unpack(self.pending_node);
-                mem.write(self.stack.value[slot as usize], self.pending_value);
-                self.node_ready = true;
-                self.phase = Phase::WriteNext;
+            Phase::PushWriteNext { node, v, t } => {
+                mem.write(s.next[node as usize - 1], idx_of(t));
+                self.phase = Phase::PushCas { node, v, t };
                 StepOutcome::Ongoing
             }
-            (Op::Push, Phase::WriteNext) => {
-                let (_, slot) = unpack(self.pending_node);
-                mem.write(self.stack.next[slot as usize], self.observed);
-                self.phase = Phase::Cas;
-                StepOutcome::Ongoing
-            }
-            (Op::Pop, Phase::ReadNext) => {
-                let (_, slot) = unpack(self.observed);
-                self.successor = mem.read(self.stack.next[slot as usize]);
-                self.phase = Phase::Cas;
-                StepOutcome::Ongoing
-            }
-            (Op::Push, Phase::Cas) => {
-                if mem.cas(self.stack.head, self.observed, self.pending_node) {
-                    self.node_ready = false;
-                    self.stack.meta.borrow_mut().shadow.push(self.pending_value);
-                    self.log.push((true, self.pending_value));
-                    self.begin_next_op();
-                    StepOutcome::Completed
+            Phase::PushCas { node, v, t } => {
+                let new = pack(node, self.bump(tag_of(t)));
+                if mem.cas(s.top, t, new) {
+                    self.complete(StackResult::Pushed(v))
                 } else {
-                    self.phase = Phase::ReadHead;
+                    self.phase = Phase::PushReadTop { node, v };
                     StepOutcome::Ongoing
                 }
             }
-            (Op::Pop, Phase::Cas) => {
-                if mem.cas(self.stack.head, self.observed, self.successor) {
-                    let (_, slot) = unpack(self.observed);
-                    let value = mem.peek(self.stack.value[slot as usize]);
-                    self.stack.release_slot(slot);
-                    let expected = self
-                        .stack
-                        .meta
-                        .borrow_mut()
-                        .shadow
-                        .pop()
-                        .expect("shadow stack must not be empty at a successful pop");
-                    assert_eq!(
-                        value, expected,
-                        "linearizability violation: popped {value}, shadow had {expected}"
-                    );
-                    self.log.push((false, value));
-                    self.begin_next_op();
-                    StepOutcome::Completed
+            Phase::PopReadNext { t } => {
+                let n = mem.read(s.next[idx_of(t) as usize - 1]);
+                self.phase = Phase::PopReadValue { t, n };
+                StepOutcome::Ongoing
+            }
+            Phase::PopReadValue { t, n } => {
+                let v = mem.read(s.value[idx_of(t) as usize - 1]);
+                self.phase = Phase::PopCas { t, n, v };
+                StepOutcome::Ongoing
+            }
+            Phase::PopCas { t, n, v } => {
+                let new = pack(n, self.bump(tag_of(t)));
+                if mem.cas(s.top, t, new) {
+                    self.recycled.push(idx_of(t));
+                    self.complete(StackResult::Popped(Some(v)))
                 } else {
-                    self.phase = Phase::ReadHead;
+                    // Retry from the top read (Start re-dispatches the
+                    // same scripted pop).
+                    self.phase = Phase::Start;
                     StepOutcome::Ongoing
                 }
             }
-            (op, phase) => unreachable!("invalid state {op:?}/{phase:?}"),
         }
     }
 
@@ -273,54 +302,103 @@ impl Process for StackProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pwf_rng::rngs::StdRng;
+    use pwf_rng::{Rng, SeedableRng};
     use pwf_sim::executor::{run, RunConfig};
+    use pwf_sim::process::ProcessId;
     use pwf_sim::scheduler::{AdversarialScheduler, UniformScheduler};
 
-    fn fleet(mem: &mut SharedMemory, n: usize) -> (SimStack, Vec<Box<dyn Process>>) {
-        let stack = SimStack::alloc(mem, 1 + 4 * n);
-        let ps: Vec<Box<dyn Process>> = (0..n)
+    /// `n` processes alternating `push(i + 1)` and pop on an empty
+    /// stack, as the simulator's Treiber-stack fleet runs them.
+    fn fleet(mem: &mut SharedMemory, n: usize) -> Vec<Box<dyn Process>> {
+        let stack = SimStack::alloc(mem, &[], n, true);
+        (0..n)
             .map(|i| {
-                Box::new(StackProcess::new(ProcessId::new(i), stack.clone())) as Box<dyn Process>
+                let script = [StackOp::Push(i as u64 + 1), StackOp::Pop];
+                Box::new(StackProcess::new(&stack, i, &script)) as Box<dyn Process>
+            })
+            .collect()
+    }
+
+    /// Runs `n` processes for `steps` uniformly random steps, process
+    /// `i` alternating pushes of unique values with pops, and replays
+    /// every completion in step order against a sequential stack.
+    /// Steps are atomic and each operation completes at its
+    /// linearization point (a successful CAS, or the read of an empty
+    /// `top`), so step order is a linearization order. Returns the
+    /// number of completions, or the step whose completion the
+    /// sequential stack disagrees with.
+    fn replay(n: usize, tagged: bool, steps: u64, seed: u64) -> Result<u64, u64> {
+        let mut mem = SharedMemory::new();
+        let stack = SimStack::alloc(&mut mem, &[], n, tagged);
+        // An op pair takes at least 8 steps, so no script repeats.
+        let mut procs: Vec<StackProcess> = (0..n as u64)
+            .map(|i| {
+                let script: Vec<StackOp> = (0..steps / 8 + 1)
+                    .flat_map(|k| [StackOp::Push((i << 32) | k), StackOp::Pop])
+                    .collect();
+                StackProcess::new(&stack, i as usize, &script)
             })
             .collect();
-        (stack, ps)
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut model = Vec::new();
+        let mut completions = 0;
+        for step in 0..steps {
+            let p = &mut procs[rng.gen_range(0..n)];
+            if p.step(&mut mem) == StepOutcome::Ongoing {
+                continue;
+            }
+            completions += 1;
+            let agrees = match p.last_completed().expect("a completed step") {
+                StackResult::Pushed(v) => {
+                    model.push(v);
+                    true
+                }
+                StackResult::Popped(v) => v == model.pop(),
+            };
+            if !agrees {
+                return Err(step);
+            }
+        }
+        Ok(completions)
     }
 
     #[test]
     fn solo_push_pop_alternation() {
         let mut mem = SharedMemory::new();
-        let (stack, mut ps) = fleet(&mut mem, 1);
+        let mut ps = fleet(&mut mem, 1);
         let exec = run(
             &mut ps,
             &mut AdversarialScheduler::solo(ProcessId::new(0)),
             &mut mem,
             &RunConfig::new(1_000),
         );
-        // Push = 4 steps, pop of non-empty = 3 steps; alternating.
-        assert!(exec.total_completions() >= 250);
-        assert!(stack.shadow_contents().len() <= 1);
+        // Push = 4 steps, pop of a non-empty stack = 4 steps.
+        assert_eq!(exec.total_completions(), 250);
     }
 
     #[test]
-    fn concurrent_stack_is_linearizable_under_uniform() {
-        // The shadow assertions inside StackProcess fire on any
-        // linearizability violation; surviving a long contended run is
-        // the test.
-        let mut mem = SharedMemory::new();
-        let (_, mut ps) = fleet(&mut mem, 6);
-        let exec = run(
-            &mut ps,
-            &mut UniformScheduler::new(),
-            &mut mem,
-            &RunConfig::new(200_000).seed(37),
-        );
-        assert!(exec.total_completions() > 10_000);
+    fn contended_stack_replays_against_a_sequential_stack() {
+        let completions = replay(6, true, 200_000, 37).expect("linearizable");
+        assert!(completions > 10_000, "{completions} completions");
+    }
+
+    #[test]
+    fn untagged_stack_fails_the_replay() {
+        for n in [2, 6] {
+            for seed in 0..3 {
+                assert!(
+                    replay(n, false, 200_000, seed).is_err(),
+                    "ABA went unnoticed at n = {n}, seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]
     fn all_processes_progress() {
         let mut mem = SharedMemory::new();
-        let (_, mut ps) = fleet(&mut mem, 4);
+        let mut ps = fleet(&mut mem, 4);
         let exec = run(
             &mut ps,
             &mut UniformScheduler::new(),
@@ -333,48 +411,13 @@ mod tests {
     }
 
     #[test]
-    fn aba_tags_prevent_stale_cas() {
-        // Regression-style check: run long enough that every slot is
-        // recycled many times; shadow assertions catch ABA corruption.
+    #[should_panic(expected = "push with no node available")]
+    fn a_push_without_a_node_panics() {
+        // The spare node goes to the first push; nothing was popped.
         let mut mem = SharedMemory::new();
-        let (stack, mut ps) = fleet(&mut mem, 2);
-        let exec = run(
-            &mut ps,
-            &mut UniformScheduler::new(),
-            &mut mem,
-            &RunConfig::new(300_000).seed(43),
-        );
-        assert!(exec.total_completions() as usize > 10 * stack.slots());
-    }
-
-    #[test]
-    #[should_panic(expected = "slot pool exhausted")]
-    fn exhausted_slot_pool_panics() {
-        // 2 slots (1 usable) but two processes mid-push.
-        let mut mem = SharedMemory::new();
-        let stack = SimStack::alloc(&mut mem, 2);
-        let mut a = StackProcess::new(ProcessId::new(0), stack.clone());
-        let mut b = StackProcess::new(ProcessId::new(1), stack);
-        // Both read head, then both try to init a node.
-        a.step(&mut mem);
-        b.step(&mut mem);
-        a.step(&mut mem);
-        b.step(&mut mem);
-    }
-
-    #[test]
-    fn slots_are_recycled() {
-        let mut mem = SharedMemory::new();
-        let (stack, mut ps) = fleet(&mut mem, 1);
-        let exec = run(
-            &mut ps,
-            &mut AdversarialScheduler::solo(ProcessId::new(0)),
-            &mut mem,
-            &RunConfig::new(7_000),
-        );
-        // ~1000 pushes through a 5-slot pool: heavy recycling, and the
-        // shadow assertions confirm no ABA corruption.
-        assert!(exec.total_completions() > 1_500);
-        assert!(stack.slots() == 5);
+        let stack = SimStack::alloc(&mut mem, &[], 1, true);
+        let mut p = StackProcess::new(&stack, 0, &[StackOp::Push(1), StackOp::Push(2)]);
+        while p.step(&mut mem) == StepOutcome::Ongoing {}
+        p.step(&mut mem);
     }
 }

@@ -77,7 +77,7 @@
 //! word.
 
 use pwf_rng::mix64;
-use pwf_sim::memory::{Access, SharedMemory};
+use pwf_sim::memory::{fold_word, Access, SharedMemory};
 use pwf_sim::process::ProcessId;
 use std::sync::Arc;
 
@@ -229,20 +229,10 @@ impl ExploreReport {
     }
 }
 
-/// Seed of the primary state fingerprint.
+/// Seed of the primary state fingerprint (a [`fold_word`] chain).
 const FP_SEED: u64 = 0x9D89_5A4B;
 /// Seed of [`verify_word`] over the state words.
 const VERIFY_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Folds one state word into the primary fingerprint: a
-/// multiply-xorshift step, bijective in `w` for a fixed `h`, so states
-/// differing in one word never collide. [`LiveRun::compute_pair`]
-/// finalises the fold with [`mix64`]; targets fold their local
-/// fingerprints with it the same way.
-pub(crate) fn primary_word(h: u64, w: u64) -> u64 {
-    let h = (h ^ w).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    h ^ (h >> 29)
-}
 
 /// Folds one state word into the independent verification hash: a
 /// SplitMix64-style avalanche chain. Two configurations colliding
@@ -317,7 +307,7 @@ impl LiveRun {
             .copied()
             .chain(self.remaining.iter().map(|&r| u64::from(r)));
         let (h, v) = words.fold((FP_SEED, VERIFY_SEED), |(h, v), w| {
-            (primary_word(h, w), verify_word(v, w))
+            (fold_word(h, w), verify_word(v, w))
         });
         (mix64(h), v)
     }
@@ -1033,7 +1023,7 @@ mod tests {
         // order-sensitive.
         let fold = |words: &[u64]| {
             words.iter().fold((FP_SEED, VERIFY_SEED), |(h, v), &w| {
-                (primary_word(h, w), verify_word(v, w))
+                (fold_word(h, w), verify_word(v, w))
             })
         };
         let (h, v) = fold(&[0]);
@@ -1053,7 +1043,7 @@ mod tests {
             .chain(run.procs.iter().map(|p| p.local_fingerprint()))
             .chain(run.remaining.iter().map(|&r| u64::from(r)));
         let (h, v) = words.fold((FP_SEED, VERIFY_SEED), |(h, v), w| {
-            (primary_word(h, w), verify_word(v, w))
+            (fold_word(h, w), verify_word(v, w))
         });
         (mix64(h), v)
     }

@@ -8,8 +8,6 @@
 //! searches over orders of applying records; cloning a spec forks the
 //! search state, and [`Spec::fingerprint`] keys the memoization table.
 
-use std::collections::VecDeque;
-
 use pwf_sim::memory::fnv1a;
 
 use crate::op::OpRecord;
@@ -30,11 +28,6 @@ pub enum Spec {
     Stack {
         /// Contents, bottom first.
         items: Vec<u64>,
-    },
-    /// FIFO queue: `enq(v)`, `deq() -> v` (or `-> ·` when empty).
-    Queue {
-        /// Contents, front first.
-        items: VecDeque<u64>,
     },
     /// A CAS register: `cas(observed) -> proposed` succeeds iff the
     /// register currently holds `observed`, then holds `proposed`.
@@ -74,13 +67,6 @@ impl Spec {
     pub fn stack(initial: &[u64]) -> Self {
         Spec::Stack {
             items: initial.to_vec(),
-        }
-    }
-
-    /// An empty queue.
-    pub fn queue() -> Self {
-        Spec::Queue {
-            items: VecDeque::new(),
         }
     }
 
@@ -144,17 +130,6 @@ impl Spec {
                 },
                 other => panic!("stack spec cannot interpret {other:?}"),
             },
-            Spec::Queue { items } => match op.name {
-                "enq" => {
-                    items.push_back(op.input.expect("enq needs an input"));
-                    true
-                }
-                "deq" => match items.pop_front() {
-                    Some(front) => op.output == Some(front),
-                    None => op.output.is_none(),
-                },
-                other => panic!("queue spec cannot interpret {other:?}"),
-            },
             Spec::CasRegister { value } => match op.name {
                 "cas" => {
                     let observed = op.input.expect("cas needs the observed value");
@@ -191,10 +166,6 @@ impl Spec {
         match self {
             Spec::Counter { value } => fnv1a(1, &[*value]),
             Spec::Stack { items } => fnv1a(2, items),
-            Spec::Queue { items } => {
-                let (a, b) = items.as_slices();
-                fnv1a(fnv1a(3, a), b)
-            }
             Spec::CasRegister { value } => fnv1a(4, &[*value]),
             Spec::Snapshot { segments } => fnv1a(5, segments),
             Spec::Coalesced { value } => fnv1a(6, &[*value]),
@@ -206,7 +177,6 @@ impl Spec {
         match self {
             Spec::Counter { .. } => "counter",
             Spec::Stack { .. } => "stack",
-            Spec::Queue { .. } => "queue",
             Spec::CasRegister { .. } => "cas-register",
             Spec::Snapshot { .. } => "snapshot",
             Spec::Coalesced { .. } => "coalesced",
@@ -251,16 +221,6 @@ mod tests {
         assert!(s.apply(&rec("pop", None, Some(20))));
         assert!(s.apply(&rec("pop", None, Some(10))));
         assert!(s.apply(&rec("pop", None, None)));
-    }
-
-    #[test]
-    fn queue_is_fifo() {
-        let mut s = Spec::queue();
-        assert!(s.apply(&rec("enq", Some(1), None)));
-        assert!(s.apply(&rec("enq", Some(2), None)));
-        assert!(s.apply(&rec("deq", None, Some(1))));
-        assert!(s.apply(&rec("deq", None, Some(2))));
-        assert!(s.apply(&rec("deq", None, None)));
     }
 
     #[test]

@@ -9,42 +9,17 @@ use crate::op::OpRecord;
 use crate::spec::Spec;
 use crate::target::{CheckConfig, CheckProcess, CheckTarget, Progress};
 
-/// [`FaiProcess`] lifted into a checkable process.
-#[derive(Clone)]
-pub struct FaiAdapter {
-    inner: FaiProcess,
-}
-
-impl FaiAdapter {
-    /// Wraps a fetch-and-increment process on `counter`.
-    pub fn new(counter: RegisterId) -> Self {
-        FaiAdapter {
-            inner: FaiProcess::new(counter),
-        }
-    }
-}
-
-impl Process for FaiAdapter {
-    fn step(&mut self, mem: &mut SharedMemory) -> StepOutcome {
-        self.inner.step(mem)
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-}
-
-impl CheckProcess for FaiAdapter {
+impl CheckProcess for FaiProcess {
     fn last_op(&self) -> OpRecord {
         OpRecord {
             name: "inc",
             input: None,
-            output: self.inner.last_win(),
+            output: self.last_win(),
         }
     }
 
     fn local_fingerprint(&self) -> u64 {
-        self.inner.fingerprint()
+        self.fingerprint()
     }
 
     fn clone_box(&self) -> Box<dyn CheckProcess> {
@@ -159,7 +134,7 @@ fn build_fai() -> CheckConfig {
     let counter = mem.alloc(0);
     CheckConfig {
         procs: (0..2)
-            .map(|_| Box::new(FaiAdapter::new(counter)) as Box<dyn CheckProcess>)
+            .map(|_| Box::new(FaiProcess::new(counter)) as Box<dyn CheckProcess>)
             .collect(),
         mem,
         spec: Spec::counter(),
@@ -199,7 +174,7 @@ fn build_livelock_mutant() -> CheckConfig {
     let counter = mem.alloc(0);
     CheckConfig {
         procs: vec![
-            Box::new(FaiAdapter::new(counter)),
+            Box::new(FaiProcess::new(counter)),
             Box::new(Spinner::new(counter)),
         ],
         mem,

@@ -9,41 +9,15 @@
 
 use pwf_algorithms::scu::{ScuObject, ScuProcess};
 use pwf_sim::memory::SharedMemory;
-use pwf_sim::process::{Process, ProcessId, StepOutcome};
+use pwf_sim::process::ProcessId;
 
 use crate::op::OpRecord;
 use crate::spec::Spec;
 use crate::target::{CheckConfig, CheckProcess, CheckTarget, Progress};
 
-/// [`ScuProcess`] lifted into a checkable process.
-#[derive(Clone)]
-pub struct ScuAdapter {
-    inner: ScuProcess,
-}
-
-impl ScuAdapter {
-    /// Wraps an `SCU(q, s)` process.
-    pub fn new(id: ProcessId, object: ScuObject, q: usize, s: usize) -> Self {
-        ScuAdapter {
-            inner: ScuProcess::new(id, object, q, s),
-        }
-    }
-}
-
-impl Process for ScuAdapter {
-    fn step(&mut self, mem: &mut SharedMemory) -> StepOutcome {
-        self.inner.step(mem)
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-}
-
-impl CheckProcess for ScuAdapter {
+impl CheckProcess for ScuProcess {
     fn last_op(&self) -> OpRecord {
         let (observed, proposed) = self
-            .inner
             .last_completed()
             .expect("last_op is only read after a completed step");
         OpRecord {
@@ -54,7 +28,7 @@ impl CheckProcess for ScuAdapter {
     }
 
     fn local_fingerprint(&self) -> u64 {
-        self.inner.fingerprint()
+        self.fingerprint()
     }
 
     fn clone_box(&self) -> Box<dyn CheckProcess> {
@@ -68,7 +42,7 @@ fn build_scu_n(q: usize, s: usize, budgets: Vec<u32>) -> CheckConfig {
     CheckConfig {
         procs: (0..budgets.len())
             .map(|i| {
-                Box::new(ScuAdapter::new(ProcessId::new(i), object.clone(), q, s))
+                Box::new(ScuProcess::new(ProcessId::new(i), object.clone(), q, s))
                     as Box<dyn CheckProcess>
             })
             .collect(),

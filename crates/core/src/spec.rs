@@ -7,7 +7,7 @@ use pwf_algorithms::lock::{LockObject, LockProcess};
 use pwf_algorithms::msqueue::{QueueProcess, SimQueue};
 use pwf_algorithms::parallel::ParallelProcess;
 use pwf_algorithms::scu::{ScuObject, ScuProcess};
-use pwf_algorithms::treiber::{SimStack, StackProcess};
+use pwf_algorithms::treiber::{SimStack, StackOp, StackProcess};
 use pwf_algorithms::unbounded::{UnboundedObject, UnboundedProcess};
 use pwf_sim::memory::SharedMemory;
 use pwf_sim::process::{Process, ProcessId};
@@ -87,11 +87,13 @@ impl AlgorithmSpec {
                     .collect()
             }
             AlgorithmSpec::TreiberStack => {
-                let stack = SimStack::alloc(mem, 1 + 4 * n);
+                // Strict push-then-pop alternation never pops an empty
+                // stack, so each process's spare node is all it needs.
+                let stack = SimStack::alloc(mem, &[], n, true);
                 (0..n)
                     .map(|i| {
-                        Box::new(StackProcess::new(ProcessId::new(i), stack.clone()))
-                            as Box<dyn Process>
+                        let script = [StackOp::Push(i as u64 + 1), StackOp::Pop];
+                        Box::new(StackProcess::new(&stack, i, &script)) as Box<dyn Process>
                     })
                     .collect()
             }

@@ -1,5 +1,5 @@
-//! The Treiber stack two ways: the simulated `SCU`-shaped model with
-//! built-in linearizability checking, and the real lock-free stack on
+//! The Treiber stack two ways: the simulated `SCU`-shaped model that
+//! `pwf vet` checks for linearizability, and the real lock-free stack on
 //! this machine's atomics with a per-operation latency histogram —
 //! the measurement that motivates the whole paper (most operations
 //! are fast; the adversarial worst case never shows up).
@@ -28,8 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.fairness_ratio()
         );
     }
-    println!("(every pop is checked against a sequential shadow stack — a failed");
-    println!(" linearizability check would have panicked)");
+    println!("(these are the processes `pwf vet` explores exhaustively in small");
+    println!(" configurations and checks for linearizability)");
 
     println!("\nReal lock-free stack, sanity check:");
     let stack = TreiberStack::with_capacity(1024);

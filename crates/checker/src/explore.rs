@@ -31,11 +31,18 @@
 //! ## Draining
 //!
 //! The frontier is a LIFO stack of self-contained *units* — a snapshot
-//! of a reached state plus the sleep set and explorable process list
-//! there. Expanding a unit writes straight into the exploration: its
-//! state-graph edges, counters and violation candidates are recorded
-//! as each step is taken, and its interior children are pushed onto
-//! the stack. Units are taken from the top of the stack in chunks of
+//! of a reached state plus the sleep set there and the explorable
+//! processes as a `u64` mask (at most 64 processes), whose branches are
+//! taken lowest bit first. Expanding a unit writes straight into the
+//! exploration: its state-graph edges, counters and violation
+//! candidates are recorded as each step is taken, and its interior
+//! children are pushed onto the stack. The step path allocates nothing
+//! once its buffers have grown: the explorer owns the sleep sets being
+//! stepped (copied into a unit only when one is queued), a run that
+//! ends (terminal, livelocked or sleep-blocked) becomes a spare that a
+//! later sibling branch overwrites with [`Clone::clone_from`] instead
+//! of allocating a copy, and one [`Linearizer`] checks every terminal
+//! history. Units are taken from the top of the stack in chunks of
 //! 256; the stop conditions (a violation found, the execution cap
 //! reached) are checked only between chunks, so where a stopped
 //! exploration ends depends on the chunk size alone. Exploration runs
@@ -67,14 +74,16 @@
 //!
 //! ## Step hashing
 //!
-//! Both hashes fold the same state words: every register, every
-//! process's local fingerprint, every remaining budget. A step mutates
-//! only the stepping process and shared memory (processes are plain
-//! data), so a run caches each process's
+//! Both hashes read the same state words, in one pass: every register,
+//! every process's local fingerprint, every remaining budget. A step
+//! mutates only the stepping process and shared memory (processes are
+//! plain data), so a run caches each process's
 //! [`CheckProcess::local_fingerprint`] and refreshes only the stepping
-//! process's entry; folding the words then costs one multiply-xorshift
-//! step (primary) and one SplitMix avalanche step (verification) per
-//! word.
+//! process's entry. The primary hash is a serial multiply-xorshift
+//! chain ([`fold_word`], finished by [`mix64`]); it keys the state
+//! graph. The verification hash is a sum of one [`mix64`] term per
+//! word, keyed by the word's position; the terms are independent, so
+//! they compute in parallel with the chain.
 
 use pwf_rng::mix64;
 use pwf_sim::memory::{fold_word, Access, SharedMemory};
@@ -82,7 +91,7 @@ use pwf_sim::process::ProcessId;
 use std::sync::Arc;
 
 use crate::audit::StateGraph;
-use crate::lin;
+use crate::lin::{self, iter_bits, Linearizer};
 use crate::op::TimedOp;
 use crate::spec::Spec;
 use crate::target::{CheckProcess, CheckTarget, Progress};
@@ -231,20 +240,33 @@ impl ExploreReport {
 
 /// Seed of the primary state fingerprint (a [`fold_word`] chain).
 const FP_SEED: u64 = 0x9D89_5A4B;
-/// Seed of [`verify_word`] over the state words.
+/// Key of the first state word's verification term.
 const VERIFY_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Step between the keys of consecutive words' verification terms.
+const VERIFY_STEP: u64 = 0xA076_1D64_78BD_642F;
 
-/// Folds one state word into the independent verification hash: a
-/// SplitMix64-style avalanche chain. Two configurations colliding
-/// under *both* hashes at once is the livelock check's residual risk
-/// (~2⁻¹²⁸ per pair).
-fn verify_word(h: u64, w: u64) -> u64 {
-    mix64(h ^ mix64(w.wrapping_add(0xA076_1D64_78BD_642F)))
+/// Hashes the state words in one pass: the primary fingerprint, a
+/// serial [`fold_word`] chain finished by [`mix64`], and the
+/// independent verification hash, a sum of position-keyed [`mix64`]
+/// terms. The terms do not depend on each other, so they compute in
+/// parallel with the chain. [`mix64`] is a bijection, so states that
+/// differ in one word always differ in the sum; two configurations
+/// colliding under *both* hashes at once is the livelock check's
+/// residual risk (~2⁻¹²⁸ per pair).
+fn hash_words(words: impl Iterator<Item = u64>) -> (u64, u64) {
+    let (h, v, _) = words.fold((FP_SEED, 0u64, VERIFY_SEED), |(h, v, key), w| {
+        (
+            fold_word(h, w),
+            v.wrapping_add(mix64(w ^ key)),
+            key.wrapping_add(VERIFY_STEP),
+        )
+    });
+    (mix64(h), v)
 }
 
 /// One in-flight execution of a configuration. Cloning a run snapshots
-/// its state: the clone steps independently of the original.
-#[derive(Clone)]
+/// its state: the clone steps independently of the original, and
+/// [`Clone::clone_from`] reuses every buffer of the run it overwrites.
 pub struct LiveRun {
     mem: SharedMemory,
     procs: Vec<Box<dyn CheckProcess>>,
@@ -272,10 +294,49 @@ pub struct LiveRun {
     fp_pair: (u64, u64),
 }
 
+impl Clone for LiveRun {
+    fn clone(&self) -> Self {
+        LiveRun {
+            mem: self.mem.clone(),
+            procs: self.procs.clone(),
+            locals: self.locals.clone(),
+            spec: Arc::clone(&self.spec),
+            remaining: self.remaining.clone(),
+            trace: self.trace.clone(),
+            ops: self.ops.clone(),
+            op_start: self.op_start.clone(),
+            seen: self.seen.clone(),
+            livelocked: self.livelocked,
+            fp_pair: self.fp_pair,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.mem.clone_from(&source.mem);
+        self.procs.clone_from(&source.procs);
+        self.locals.clone_from(&source.locals);
+        self.spec.clone_from(&source.spec);
+        self.remaining.clone_from(&source.remaining);
+        self.trace.clone_from(&source.trace);
+        self.ops.clone_from(&source.ops);
+        self.op_start.clone_from(&source.op_start);
+        self.seen.clone_from(&source.seen);
+        self.livelocked = source.livelocked;
+        self.fp_pair = source.fp_pair;
+    }
+}
+
 impl LiveRun {
     /// Starts a run from a freshly built configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration has more than 64 processes (the
+    /// width of the [`enabled`](Self::enabled) mask) or not one budget
+    /// per process.
     pub fn new(cfg: crate::target::CheckConfig) -> Self {
         let n = cfg.procs.len();
+        assert!(n <= 64, "process count exceeds bitmask capacity");
         assert_eq!(cfg.budgets.len(), n, "one budget per process");
         let mut run = LiveRun {
             mem: cfg.mem,
@@ -297,19 +358,16 @@ impl LiveRun {
 
     /// Streams the state words — every register, every process's
     /// cached local fingerprint, the remaining budgets — through both
-    /// hashes, one word at a time.
+    /// hashes in one pass.
     fn compute_pair(&self) -> (u64, u64) {
-        let words = self
-            .mem
-            .registers()
-            .iter()
-            .chain(&self.locals)
-            .copied()
-            .chain(self.remaining.iter().map(|&r| u64::from(r)));
-        let (h, v) = words.fold((FP_SEED, VERIFY_SEED), |(h, v), w| {
-            (fold_word(h, w), verify_word(v, w))
-        });
-        (mix64(h), v)
+        hash_words(
+            self.mem
+                .registers()
+                .iter()
+                .chain(&self.locals)
+                .copied()
+                .chain(self.remaining.iter().map(|&r| u64::from(r))),
+        )
     }
 
     /// Full-state fingerprint: shared memory, every process's local
@@ -324,14 +382,17 @@ impl LiveRun {
         self.fp_pair
     }
 
-    /// Indices of processes that may still step.
-    pub fn enabled(&self) -> Vec<usize> {
+    /// The processes that may still step, as a mask: bit `i` is set
+    /// when process `i` is enabled.
+    pub fn enabled(&self) -> u64 {
         if self.livelocked {
-            return Vec::new();
+            return 0;
         }
-        (0..self.procs.len())
-            .filter(|&i| self.remaining[i] > 0)
-            .collect()
+        self.remaining
+            .iter()
+            .enumerate()
+            .filter(|&(_, &r)| r > 0)
+            .fold(0, |mask, (i, _)| mask | 1 << i)
     }
 
     /// Whether every process has exhausted its budget.
@@ -434,15 +495,15 @@ impl LiveRun {
 struct Unit {
     run: LiveRun,
     sleep: Vec<(usize, Access)>,
-    explorable: Vec<usize>,
+    /// The enabled processes not asleep here, as a mask; branches are
+    /// taken lowest bit first.
+    explorable: u64,
 }
 
 impl Unit {
     /// Approximate bytes the unit holds (see [`LiveRun::footprint_bytes`]).
     fn footprint_bytes(&self) -> usize {
-        self.run.footprint_bytes()
-            + self.sleep.len() * std::mem::size_of::<(usize, Access)>()
-            + self.explorable.len() * std::mem::size_of::<usize>()
+        self.run.footprint_bytes() + self.sleep.len() * std::mem::size_of::<(usize, Access)>()
     }
 }
 
@@ -470,7 +531,7 @@ fn record_step(
 }
 
 /// A frontier exploration in progress: everything expanding a unit
-/// writes to.
+/// writes to, and the buffers it reuses from step to step.
 struct Explorer<'a> {
     target: &'a CheckTarget,
     opts: &'a ExploreOptions,
@@ -483,6 +544,19 @@ struct Explorer<'a> {
     /// Bytes held by the snapshots of every live unit: the queued
     /// frontier plus the chunk being drained.
     held_bytes: usize,
+    /// Runs that ended (terminal, livelocked or sleep-blocked). A
+    /// sibling branch overwrites one instead of allocating a copy, so
+    /// the list never holds more runs than were alive at once.
+    spare: Vec<LiveRun>,
+    /// The sleep set at the state being stepped from.
+    sleep_now: Vec<(usize, Access)>,
+    /// The sleep set being built for the state a step reaches; swapped
+    /// with `sleep_now` on path compression.
+    sleep_next: Vec<(usize, Access)>,
+    /// The expanding unit's branches taken so far, with the access of
+    /// each one's first step.
+    explored: Vec<(usize, Access)>,
+    lin: Linearizer,
 }
 
 impl Explorer<'_> {
@@ -504,6 +578,17 @@ impl Explorer<'_> {
         }
     }
 
+    /// A copy of `snapshot`, overwriting a spare run when there is one.
+    fn copy_of(&mut self, snapshot: &LiveRun) -> LiveRun {
+        match self.spare.pop() {
+            Some(mut run) => {
+                run.clone_from(snapshot);
+                run
+            }
+            None => snapshot.clone(),
+        }
+    }
+
     /// Expands one frontier unit: steps a copy of its snapshot once per
     /// explorable process (the last process steps the snapshot itself)
     /// and classifies the result — a leaf, a sleep-blocked state, or a
@@ -515,22 +600,29 @@ impl Explorer<'_> {
     /// same live run instead of queueing a unit, which saves a snapshot
     /// clone and a frontier round trip per chain step.
     fn expand(&mut self, unit: Unit) {
-        let mut explored: Vec<(usize, Access)> = Vec::new();
-        let last = unit.explorable.len().saturating_sub(1);
-        let mut snapshot = Some(unit.run);
-        for (i, &p) in unit.explorable.iter().enumerate() {
-            let mut run = if i == last {
-                snapshot.take()
+        let Unit {
+            run: snapshot,
+            sleep,
+            explorable,
+        } = unit;
+        let mut snapshot = Some(snapshot);
+        self.explored.clear();
+        for p in iter_bits(explorable) {
+            let mut run = if explorable >> p == 1 {
+                snapshot
+                    .take()
+                    .expect("only the last branch takes the snapshot")
             } else {
-                snapshot.clone()
-            }
-            .expect("only the last branch takes the snapshot");
-            let mut sleep_now = unit.sleep.clone();
+                let snapshot = snapshot.as_ref().expect("siblings branch before the last");
+                self.copy_of(snapshot)
+            };
+            self.sleep_now.clear();
+            self.sleep_now.extend_from_slice(&sleep);
             let mut next_p = p;
             // Sibling sleepers apply to the first step only; compressed
             // chain steps have no siblings.
             let mut first = true;
-            loop {
+            let ended = loop {
                 let access = record_step(
                     &mut self.graph,
                     &mut self.stats,
@@ -539,7 +631,7 @@ impl Explorer<'_> {
                     self.opts.max_depth,
                 );
                 if first {
-                    explored.push((p, access));
+                    self.explored.push((p, access));
                 }
                 if run.livelocked() {
                     self.stats.executions += 1;
@@ -550,57 +642,51 @@ impl Explorer<'_> {
                     if self.target.progress == Progress::LockFree {
                         self.consider_violation(ViolationKind::Livelock, &run);
                     }
-                    break;
+                    break Some(run);
                 }
                 if run.is_terminal() {
                     self.stats.executions += 1;
-                    if !lin::check(run.spec(), run.ops()).is_linearizable() {
+                    if self.lin.check(run.spec(), run.ops()).is_none() {
                         self.consider_violation(ViolationKind::NotLinearizable, &run);
                     }
-                    break;
+                    break Some(run);
                 }
                 // A sibling/inherited sleeper stays asleep only while the
                 // executed step is independent of its pending access.
                 let stepped = next_p;
-                let child_sleep: Vec<(usize, Access)> = if self.opts.prune {
-                    let sibs = if first { explored.as_slice() } else { &[] };
-                    sleep_now
-                        .iter()
-                        .chain(sibs.iter())
-                        .filter(|&&(q, a)| q != stepped && !a.conflicts_with(access))
-                        .copied()
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let explorable: Vec<usize> = run
-                    .enabled()
-                    .into_iter()
-                    .filter(|e| !child_sleep.iter().any(|&(q, _)| q == *e))
-                    .collect();
-                match explorable.as_slice() {
-                    [] => {
-                        self.stats.sleep_blocked += 1;
-                        break;
-                    }
-                    [only] => {
-                        // Path compression: continue inline.
-                        next_p = *only;
-                        sleep_now = child_sleep;
-                        first = false;
-                    }
-                    _ => {
-                        let child = Unit {
-                            run,
-                            sleep: child_sleep,
-                            explorable,
-                        };
-                        self.held_bytes += child.footprint_bytes();
-                        self.frontier.push(child);
-                        break;
+                let mut asleep = 0u64;
+                self.sleep_next.clear();
+                if self.opts.prune {
+                    let sibs = if first { self.explored.as_slice() } else { &[] };
+                    for &(q, a) in self.sleep_now.iter().chain(sibs) {
+                        if q != stepped && !a.conflicts_with(access) {
+                            self.sleep_next.push((q, a));
+                            asleep |= 1 << q;
+                        }
                     }
                 }
-            }
+                std::mem::swap(&mut self.sleep_now, &mut self.sleep_next);
+                let explorable = run.enabled() & !asleep;
+                if explorable == 0 {
+                    self.stats.sleep_blocked += 1;
+                    break Some(run);
+                }
+                if explorable & (explorable - 1) == 0 {
+                    // Path compression: continue inline.
+                    next_p = explorable.trailing_zeros() as usize;
+                    first = false;
+                } else {
+                    let child = Unit {
+                        run,
+                        sleep: self.sleep_now.clone(),
+                        explorable,
+                    };
+                    self.held_bytes += child.footprint_bytes();
+                    self.frontier.push(child);
+                    break None;
+                }
+            };
+            self.spare.extend(ended);
         }
     }
 }
@@ -615,12 +701,17 @@ pub fn explore(target: &CheckTarget, opts: &ExploreOptions) -> ExploreReport {
         violation: None,
         frontier: Vec::new(),
         held_bytes: 0,
+        spare: Vec::new(),
+        sleep_now: Vec::new(),
+        sleep_next: Vec::new(),
+        explored: Vec::new(),
+        lin: Linearizer::default(),
     };
     let root = LiveRun::new(target.build());
     ex.graph.note_state(root.fingerprint(), &[]);
     if root.is_terminal() {
         ex.stats.executions = 1;
-        if !lin::check(root.spec(), root.ops()).is_linearizable() {
+        if ex.lin.check(root.spec(), root.ops()).is_none() {
             ex.consider_violation(ViolationKind::NotLinearizable, &root);
         }
     } else {
@@ -731,23 +822,19 @@ pub fn explore_recursive(target: &CheckTarget, opts: &ExploreOptions) -> Explore
                 }
                 return;
             }
-            let enabled = run.enabled();
-            let explorable: Vec<usize> = if self.opts.prune {
-                enabled
-                    .iter()
-                    .copied()
-                    .filter(|p| !sleep.iter().any(|&(q, _)| q == *p))
-                    .collect()
-            } else {
-                enabled
-            };
-            if explorable.is_empty() {
+            let mut explorable = run.enabled();
+            if self.opts.prune {
+                for &(q, _) in sleep {
+                    explorable &= !(1 << q);
+                }
+            }
+            if explorable == 0 {
                 self.stats.sleep_blocked += 1;
                 return;
             }
             drop(run); // each child re-executes from a fresh build
             let mut explored: Vec<(usize, Access)> = Vec::new();
-            for p in explorable {
+            for p in iter_bits(explorable) {
                 if self.done() {
                     return;
                 }
@@ -798,17 +885,23 @@ pub fn explore_recursive(target: &CheckTarget, opts: &ExploreOptions) -> Explore
 pub fn run_schedule(target: &CheckTarget, schedule: &[usize], max_depth: usize) -> LiveRun {
     let mut run = LiveRun::new(target.build());
     let n = run.procs.len();
+    // The mask is empty once the run is livelocked or terminal.
     for &p in schedule {
-        if run.livelocked() || run.is_terminal() {
+        let enabled = run.enabled();
+        if enabled == 0 {
             break;
         }
-        if p < n && run.remaining[p] > 0 {
+        if p < n && enabled >> p & 1 == 1 {
             let _ = run.step_raw(p, max_depth);
         }
     }
     let mut next = 0usize;
-    while !run.livelocked() && !run.is_terminal() {
-        if run.remaining[next % n] > 0 {
+    loop {
+        let enabled = run.enabled();
+        if enabled == 0 {
+            break;
+        }
+        if enabled >> (next % n) & 1 == 1 {
             let _ = run.step_raw(next % n, max_depth);
         }
         next += 1;
@@ -955,11 +1048,11 @@ mod tests {
         let mut run = LiveRun::new(target.build());
         let n = run.procs.len();
         let mut i = 0;
-        while i < 40 && !run.enabled().is_empty() {
+        while i < 40 && run.enabled() != 0 {
             let enabled = run.enabled();
             let p = (0..n)
                 .map(|d| (pick(i) + d) % n)
-                .find(|p| enabled.contains(p))
+                .find(|&p| enabled >> p & 1 == 1)
                 .expect("some process is enabled");
             let _ = run.step_raw(p, 4_096);
             i += 1;
@@ -975,7 +1068,14 @@ mod tests {
         run
     }
 
-    type Observed = ((u64, u64), Vec<Option<u64>>, Vec<usize>, Vec<TimedOp>, bool);
+    type Observed = (
+        (u64, u64),
+        Vec<Option<u64>>,
+        Vec<usize>,
+        Vec<TimedOp>,
+        bool,
+        Vec<(u64, u64)>,
+    );
 
     fn observe(run: &LiveRun) -> Observed {
         (
@@ -984,6 +1084,7 @@ mod tests {
             run.trace().to_vec(),
             run.ops().to_vec(),
             run.livelocked(),
+            run.seen.clone(),
         )
     }
 
@@ -991,19 +1092,32 @@ mod tests {
     fn snapshot_runs_match_replay_from_a_fresh_build() {
         let picks: [fn(usize) -> usize; 3] =
             [|i| i, |i| usize::MAX - i, |i| mix64(i as u64) as usize];
+        let mut spares_with_ops = 0;
         for target in crate::targets::registry() {
             for pick in picks {
                 let schedule = fixed_schedule(&target, pick);
                 let reference = observe(&replayed(&target, &schedule));
+                // A recycled run is overwritten from a longer schedule's
+                // run, flagged livelocked, with completed ops and a
+                // populated `seen` set.
+                let mut spare = replayed(&target, &schedule);
+                spare.livelocked = true;
+                spares_with_ops += usize::from(!spare.ops().is_empty());
+                assert!(!spare.seen.is_empty());
                 for k in [0, schedule.len() / 2, schedule.len()] {
                     let mut original = replayed(&target, &schedule[..k]);
                     let before = observe(&original);
                     let mut snapshot = original.clone();
+                    let mut recycled = spare.clone();
+                    recycled.clone_from(&original);
+                    let at = format!("{} at step {k} of {schedule:?}", target.name);
+                    assert_eq!(observe(&recycled), before, "{at}");
                     for &p in &schedule[k..] {
                         let _ = snapshot.step_raw(p, 4_096);
+                        let _ = recycled.step_raw(p, 4_096);
                     }
-                    let at = format!("{} at step {k} of {schedule:?}", target.name);
                     assert_eq!(observe(&snapshot), reference, "{at}");
+                    assert_eq!(observe(&recycled), reference, "{at}");
                     // The snapshot shares no mutable state: the
                     // original is untouched and still finishes alike.
                     assert_eq!(observe(&original), before, "{at}");
@@ -1014,6 +1128,7 @@ mod tests {
                 }
             }
         }
+        assert!(spares_with_ops > 0, "some spare run completed an op");
     }
 
     #[test]
@@ -1021,31 +1136,35 @@ mod tests {
         // Not a proof of independence, but the two functions must at
         // least disagree on trivial inputs, and both must be
         // order-sensitive.
-        let fold = |words: &[u64]| {
-            words.iter().fold((FP_SEED, VERIFY_SEED), |(h, v), &w| {
-                (fold_word(h, w), verify_word(v, w))
-            })
-        };
-        let (h, v) = fold(&[0]);
-        assert_ne!(mix64(h), v);
-        assert_ne!(fold(&[1, 2]).0, fold(&[2, 1]).0);
-        assert_ne!(fold(&[1, 2]).1, fold(&[2, 1]).1);
+        let hash = |words: &[u64]| hash_words(words.iter().copied());
+        let (h, v) = hash(&[0]);
+        assert_ne!(h, v);
+        assert_ne!(hash(&[1, 2]).0, hash(&[2, 1]).0);
+        assert_ne!(hash(&[1, 2]).1, hash(&[2, 1]).1);
+        // The sum's terms are keyed by position: unequal words that
+        // swap places, apart or adjacent, change it.
+        assert_ne!(hash(&[5, 0, 9]).1, hash(&[9, 0, 5]).1);
+        assert_ne!(hash(&[0, 7, 3, 0]).1, hash(&[0, 3, 7, 0]).1);
     }
 
     /// The fingerprint pair of `run` with every local fingerprint
-    /// recomputed from its process instead of read from `locals`.
+    /// recomputed from its process instead of read from `locals`, and
+    /// the verification sum recomputed term by term.
     fn pair_recomputed(run: &LiveRun) -> (u64, u64) {
-        let words = run
+        let words: Vec<u64> = run
             .mem
             .registers()
             .iter()
             .copied()
             .chain(run.procs.iter().map(|p| p.local_fingerprint()))
-            .chain(run.remaining.iter().map(|&r| u64::from(r)));
-        let (h, v) = words.fold((FP_SEED, VERIFY_SEED), |(h, v), w| {
-            (fold_word(h, w), verify_word(v, w))
-        });
-        (mix64(h), v)
+            .chain(run.remaining.iter().map(|&r| u64::from(r)))
+            .collect();
+        let primary = mix64(words.iter().fold(FP_SEED, |h, &w| fold_word(h, w)));
+        let verify = (0u64..)
+            .zip(&words)
+            .map(|(i, &w)| mix64(w ^ VERIFY_SEED.wrapping_add(i.wrapping_mul(VERIFY_STEP))))
+            .fold(0u64, u64::wrapping_add);
+        (primary, verify)
     }
 
     #[test]

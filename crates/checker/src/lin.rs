@@ -15,7 +15,9 @@
 //! spec-state)` pairs are memoized, the refinement due to Lowe's
 //! just-in-time linearizability checker. Operation counts here are
 //! tiny (≤ 64 by construction), so a `u64` bitmask encodes the
-//! remaining set.
+//! remaining set. A [`Linearizer`] keeps one spec per search depth and
+//! applies each candidate to a copy in the next depth's slot, so a
+//! search reuses its buffers instead of allocating a spec per try.
 
 use std::collections::HashSet;
 
@@ -43,71 +45,103 @@ impl LinResult {
 }
 
 /// Checks whether `ops` (the completed operations of one execution)
-/// linearize against `spec`.
+/// linearize against `spec`: a one-shot [`Linearizer`].
 ///
 /// # Panics
 ///
 /// Panics if more than 64 operations are supplied; checker
 /// configurations are bounded far below that.
 pub fn check(spec: &Spec, ops: &[TimedOp]) -> LinResult {
-    assert!(ops.len() <= 64, "op count exceeds bitmask capacity");
-    let full: u64 = if ops.len() == 64 {
-        u64::MAX
-    } else {
-        (1u64 << ops.len()) - 1
-    };
-    let mut failed: HashSet<(u64, u64)> = HashSet::new();
-    let mut witness = Vec::with_capacity(ops.len());
-    let mut spec = spec.clone();
-    if dfs(&mut spec, ops, full, &mut failed, &mut witness) {
-        LinResult::Linearizable { witness }
-    } else {
-        LinResult::NotLinearizable
+    match Linearizer::default().check(spec, ops) {
+        Some(witness) => LinResult::Linearizable {
+            witness: witness.to_vec(),
+        },
+        None => LinResult::NotLinearizable,
     }
 }
 
-/// Tries to linearize the operations in `remaining` (bitmask over
-/// `ops`) starting from `spec`; on success `witness` holds the order.
-fn dfs(
-    spec: &mut Spec,
-    ops: &[TimedOp],
-    remaining: u64,
-    failed: &mut HashSet<(u64, u64)>,
-    witness: &mut Vec<usize>,
-) -> bool {
-    if remaining == 0 {
-        return true;
-    }
-    let key = (remaining, spec.fingerprint());
-    if failed.contains(&key) {
-        return false;
-    }
-    // An op is minimal iff no remaining op's response precedes its
-    // invocation — equivalently, invoke ≤ min remaining response.
-    let min_response = iter_bits(remaining)
-        .map(|i| ops[i].response)
-        .min()
-        .expect("remaining is non-empty");
-    for i in iter_bits(remaining) {
-        if ops[i].invoke > min_response {
-            continue;
+/// A reusable Wing–Gong search: one spec per search depth, the memo
+/// set of failed `(remaining-set, spec-fingerprint)` pairs, and the
+/// witness. Checking a history reuses all three buffers (the memo set
+/// is cleared first), so checking many histories in sequence allocates
+/// only while a buffer grows.
+#[derive(Debug, Default)]
+pub struct Linearizer {
+    /// `specs[d]` is the spec state after the first `d` ops of the
+    /// linearization being tried.
+    specs: Vec<Spec>,
+    failed: HashSet<(u64, u64)>,
+    witness: Vec<usize>,
+}
+
+impl Linearizer {
+    /// Checks whether `ops` linearize against `spec`. Returns the
+    /// witness (indices into `ops`, in linearization order), or `None`
+    /// when no legal linearization exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than 64 operations are supplied; checker
+    /// configurations are bounded far below that.
+    pub fn check(&mut self, spec: &Spec, ops: &[TimedOp]) -> Option<&[usize]> {
+        assert!(ops.len() <= 64, "op count exceeds bitmask capacity");
+        let full: u64 = if ops.len() == 64 {
+            u64::MAX
+        } else {
+            (1u64 << ops.len()) - 1
+        };
+        self.failed.clear();
+        self.witness.clear();
+        while self.specs.len() <= ops.len() {
+            self.specs.push(spec.clone());
         }
-        let mut child = spec.clone();
-        if child.apply(&ops[i].record) {
-            witness.push(i);
-            if dfs(&mut child, ops, remaining & !(1 << i), failed, witness) {
-                *spec = child;
-                return true;
+        self.specs[0].clone_from(spec);
+        if self.dfs(ops, 0, full) {
+            Some(&self.witness)
+        } else {
+            None
+        }
+    }
+
+    /// Tries to linearize the operations in `remaining` (bitmask over
+    /// `ops`) starting from `specs[depth]`; on success `witness` holds
+    /// the order.
+    fn dfs(&mut self, ops: &[TimedOp], depth: usize, remaining: u64) -> bool {
+        if remaining == 0 {
+            return true;
+        }
+        let key = (remaining, self.specs[depth].fingerprint());
+        if self.failed.contains(&key) {
+            return false;
+        }
+        // An op is minimal iff no remaining op's response precedes its
+        // invocation — equivalently, invoke ≤ min remaining response.
+        let min_response = iter_bits(remaining)
+            .map(|i| ops[i].response)
+            .min()
+            .expect("remaining is non-empty");
+        for i in iter_bits(remaining) {
+            if ops[i].invoke > min_response {
+                continue;
             }
-            witness.pop();
+            let (done, next) = self.specs.split_at_mut(depth + 1);
+            let child = &mut next[0];
+            child.clone_from(&done[depth]);
+            if child.apply(&ops[i].record) {
+                self.witness.push(i);
+                if self.dfs(ops, depth + 1, remaining & !(1 << i)) {
+                    return true;
+                }
+                self.witness.pop();
+            }
         }
+        self.failed.insert(key);
+        false
     }
-    failed.insert(key);
-    false
 }
 
 /// Iterates the set bit positions of a mask, lowest first.
-fn iter_bits(mask: u64) -> impl Iterator<Item = usize> {
+pub(crate) fn iter_bits(mask: u64) -> impl Iterator<Item = usize> {
     let mut m = mask;
     std::iter::from_fn(move || {
         if m == 0 {
@@ -207,5 +241,54 @@ mod tests {
     #[test]
     fn empty_history_is_trivially_linearizable() {
         assert!(check(&Spec::counter(), &[]).is_linearizable());
+    }
+
+    #[test]
+    fn a_reused_linearizer_agrees_with_one_shot_checks() {
+        use crate::explore::{explore, run_schedule, ExploreOptions};
+        use pwf_rng::mix64;
+        // Terminal histories of every registry target in registry
+        // order, so the spec variant changes between targets; a
+        // mutant's violating history comes before its target's other
+        // histories, so a memo set leaking out of a failed search
+        // would reject them.
+        let mut histories: Vec<(Spec, Vec<TimedOp>)> = Vec::new();
+        for target in crate::targets::registry() {
+            let n = target.build().n() as u64;
+            let mut schedules: Vec<Vec<usize>> = Vec::new();
+            if target.expect_failure {
+                let report = explore(&target, &ExploreOptions::default());
+                schedules.extend(report.violation.map(|v| v.schedule));
+            }
+            schedules.extend((0..4u64).map(|seed| {
+                (0..64)
+                    .map(|i| (mix64(seed << 8 | i) % n) as usize)
+                    .collect()
+            }));
+            for schedule in schedules {
+                let run = run_schedule(&target, &schedule, 4_096);
+                if run.is_terminal() {
+                    histories.push((run.spec().clone(), run.ops().to_vec()));
+                }
+            }
+        }
+        let mut lin = Linearizer::default();
+        let (mut rejected, mut switches) = (0, 0);
+        for (i, (spec, ops)) in histories.iter().enumerate() {
+            let reused = lin.check(spec, ops).map(<[usize]>::to_vec);
+            match check(spec, ops) {
+                LinResult::Linearizable { witness } => assert_eq!(reused, Some(witness), "{i}"),
+                LinResult::NotLinearizable => {
+                    assert_eq!(reused, None, "{i}");
+                    rejected += 1;
+                }
+            }
+            if i > 0 && histories[i - 1].0.name() != spec.name() {
+                switches += 1;
+            }
+        }
+        assert!(rejected > 0, "some mutant history is rejected");
+        assert!(rejected < histories.len(), "some history linearizes");
+        assert!(switches > 0, "the spec variant changes mid-sequence");
     }
 }

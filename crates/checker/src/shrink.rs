@@ -10,7 +10,8 @@
 //! completed round-robin, so every candidate is a *complete* execution
 //! and its linearizability verdict is sound. The schedule kept is the
 //! trace that was actually executed, so the result replays
-//! deterministically.
+//! deterministically. One [`Linearizer`] checks every candidate's
+//! history.
 //!
 //! Shrunk schedules serialise to a small text format (`# target:`
 //! header plus whitespace-separated process indices) consumable by
@@ -20,7 +21,7 @@
 use pwf_sim::process::ProcessId;
 
 use crate::explore::{run_schedule, ViolationKind};
-use crate::lin;
+use crate::lin::Linearizer;
 use crate::target::CheckTarget;
 
 /// Depth bound used when re-executing candidate schedules.
@@ -28,7 +29,8 @@ const SHRINK_MAX_DEPTH: usize = 4_096;
 
 /// Re-executes `schedule` and reports whether the violation of `kind`
 /// reproduces; on reproduction returns the actually executed trace.
-pub fn reproduces(
+fn reproduces(
+    lin: &mut Linearizer,
     target: &CheckTarget,
     kind: ViolationKind,
     schedule: &[usize],
@@ -37,7 +39,7 @@ pub fn reproduces(
     let hit = match kind {
         ViolationKind::Livelock => run.livelocked(),
         ViolationKind::NotLinearizable => {
-            run.is_terminal() && !lin::check(run.spec(), run.ops()).is_linearizable()
+            run.is_terminal() && lin.check(run.spec(), run.ops()).is_none()
         }
     };
     if hit {
@@ -55,7 +57,8 @@ pub fn reproduces(
 /// Panics if `schedule` does not reproduce the violation — the input
 /// is supposed to come from the explorer.
 pub fn shrink(target: &CheckTarget, kind: ViolationKind, schedule: &[usize]) -> Vec<usize> {
-    let mut best = reproduces(target, kind, schedule)
+    let mut lin = Linearizer::default();
+    let mut best = reproduces(&mut lin, target, kind, schedule)
         .expect("the explorer-provided schedule must reproduce its violation");
     let mut chunk = (best.len() / 2).max(1);
     loop {
@@ -65,7 +68,7 @@ pub fn shrink(target: &CheckTarget, kind: ViolationKind, schedule: &[usize]) -> 
             let end = (i + chunk).min(best.len());
             let mut candidate = best[..i].to_vec();
             candidate.extend_from_slice(&best[end..]);
-            match reproduces(target, kind, &candidate) {
+            match reproduces(&mut lin, target, kind, &candidate) {
                 Some(trace) if trace.len() < best.len() => {
                     best = trace;
                     improved = true;

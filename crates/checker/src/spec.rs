@@ -8,15 +8,17 @@
 //! searches over orders of applying records; cloning a spec forks the
 //! search state, and [`Spec::fingerprint`] keys the memoization table.
 
-use pwf_sim::memory::fnv1a;
+use pwf_rng::mix64;
+use pwf_sim::memory::{fnv1a, fold_word};
 
 use crate::op::OpRecord;
 
 /// A cloneable sequential specification.
 ///
 /// Implemented as an enum rather than a trait object so the
-/// linearizability search can clone states freely without boxing.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// linearizability search can clone states freely without boxing;
+/// [`Clone::clone_from`] reuses a same-variant target's buffers.
+#[derive(Debug, PartialEq, Eq)]
 pub enum Spec {
     /// Fetch-and-increment counter: `inc() -> k` returns the
     /// pre-increment value; `read() -> v` returns the current value.
@@ -55,6 +57,32 @@ pub enum Spec {
         /// The value the leader computes and publishes.
         value: u64,
     },
+}
+
+impl Clone for Spec {
+    fn clone(&self) -> Self {
+        match self {
+            Spec::Counter { value } => Spec::Counter { value: *value },
+            Spec::Stack { items } => Spec::Stack {
+                items: items.clone(),
+            },
+            Spec::CasRegister { value } => Spec::CasRegister { value: *value },
+            Spec::Snapshot { segments } => Spec::Snapshot {
+                segments: segments.clone(),
+            },
+            Spec::Coalesced { value } => Spec::Coalesced { value: *value },
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Spec::Stack { items }, Spec::Stack { items: from }) => items.clone_from(from),
+            (Spec::Snapshot { segments }, Spec::Snapshot { segments: from }) => {
+                segments.clone_from(from)
+            }
+            (this, _) => *this = source.clone(),
+        }
+    }
 }
 
 impl Spec {
@@ -161,15 +189,17 @@ impl Spec {
         }
     }
 
-    /// Fingerprint of the sequential state, for search memoization.
+    /// Fingerprint of the sequential state, for search memoization: a
+    /// variant tag and the state words, folded word by word.
     pub fn fingerprint(&self) -> u64 {
-        match self {
-            Spec::Counter { value } => fnv1a(1, &[*value]),
-            Spec::Stack { items } => fnv1a(2, items),
-            Spec::CasRegister { value } => fnv1a(4, &[*value]),
-            Spec::Snapshot { segments } => fnv1a(5, segments),
-            Spec::Coalesced { value } => fnv1a(6, &[*value]),
-        }
+        let (tag, words): (u64, &[u64]) = match self {
+            Spec::Counter { value } => (1, std::slice::from_ref(value)),
+            Spec::Stack { items } => (2, items),
+            Spec::CasRegister { value } => (4, std::slice::from_ref(value)),
+            Spec::Snapshot { segments } => (5, segments),
+            Spec::Coalesced { value } => (6, std::slice::from_ref(value)),
+        };
+        mix64(words.iter().fold(tag, |h, &w| fold_word(h, w)))
     }
 
     /// The spec's name, for reports.
@@ -247,6 +277,22 @@ mod tests {
         assert!(s.apply(&rec("get", None, Some(42))));
         assert!(!s.apply(&rec("get", None, Some(0))), "unpublished read");
         assert!(!s.apply(&rec("get", None, None)));
+    }
+
+    #[test]
+    fn clone_from_matches_clone_within_and_across_variants() {
+        let specs = [
+            Spec::stack(&[1, 2, 3]),
+            Spec::stack(&[4]),
+            Spec::snapshot(3),
+            Spec::counter(),
+            Spec::stack(&[]),
+        ];
+        let mut target = Spec::snapshot(1);
+        for source in &specs {
+            target.clone_from(source);
+            assert_eq!(&target, source);
+        }
     }
 
     #[test]

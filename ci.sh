@@ -77,6 +77,13 @@ vet_report="$(mktemp)"
 ./target/release/pwf vet > "$vet_report"
 cat "$vet_report"
 
+echo "==> pwf vet: the full report matches its committed golden"
+# The explorer's internals (state hashing, snapshot copies, frontier
+# draining) may change freely; the report may not. Regenerate the
+# golden only for an intended change of verdicts or counters:
+#   ./target/release/pwf vet > crates/checker/tests/vet_report.golden
+diff crates/checker/tests/vet_report.golden "$vet_report"
+
 echo "==> pwf vet: run-to-run determinism"
 # A second run of the full registry must print a byte-identical
 # report. The largest targets recycle ended runs as sibling snapshots,

@@ -151,7 +151,7 @@ impl Phase {
 /// next, CAS), a pop of a non-empty stack 4 (read top, read next, read
 /// value, CAS) and a pop of an empty stack 1; a failed CAS retries
 /// from the top read.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StackProcess {
     stack: Arc<SimStack>,
     script: Arc<[StackOp]>,
@@ -201,12 +201,19 @@ impl StackProcess {
     /// Fingerprint of the behaviour-relevant local state: script
     /// position, phase and its cached reads, and the nodes in hand.
     pub fn fingerprint(&self) -> u64 {
-        let words = [self.pos as u64, self.phase.code()]
-            .into_iter()
-            .chain(self.phase.words())
-            .chain([self.spare.map_or(0, |s| s + 1), self.recycled.len() as u64])
-            .chain(self.recycled.iter().copied());
-        mix64(words.fold(0xB7E1_5162, fold_word))
+        let [a, b, c, d] = self.phase.words();
+        let head = [
+            self.pos as u64,
+            self.phase.code(),
+            a,
+            b,
+            c,
+            d,
+            self.spare.map_or(0, |s| s + 1),
+            self.recycled.len() as u64,
+        ];
+        let h = head.iter().fold(0xB7E1_5162, |h, &w| fold_word(h, w));
+        mix64(self.recycled.iter().fold(h, |h, &w| fold_word(h, w)))
     }
 
     fn bump(&self, tag: u64) -> u64 {
@@ -222,6 +229,37 @@ impl StackProcess {
         self.pos += 1;
         self.phase = Phase::Start;
         StepOutcome::Completed
+    }
+}
+
+/// [`Clone::clone_from`] reuses the `recycled` buffer and leaves the
+/// shared stack and script alone when they already match, so a checker
+/// overwriting a snapshot in place allocates nothing.
+impl Clone for StackProcess {
+    fn clone(&self) -> Self {
+        StackProcess {
+            stack: Arc::clone(&self.stack),
+            script: Arc::clone(&self.script),
+            pos: self.pos,
+            phase: self.phase,
+            recycled: self.recycled.clone(),
+            spare: self.spare,
+            last: self.last,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        if !Arc::ptr_eq(&self.stack, &source.stack) {
+            self.stack = Arc::clone(&source.stack);
+        }
+        if !Arc::ptr_eq(&self.script, &source.script) {
+            self.script = Arc::clone(&source.script);
+        }
+        self.pos = source.pos;
+        self.phase = source.phase;
+        self.recycled.clone_from(&source.recycled);
+        self.spare = source.spare;
+        self.last = source.last;
     }
 }
 
@@ -408,6 +446,45 @@ mod tests {
         for i in 0..4 {
             assert!(exec.process_completions[i] > 100, "process {i} starved");
         }
+    }
+
+    /// [`StackProcess::fingerprint`]'s fold, written as one iterator
+    /// chain over the same words.
+    fn chained_fingerprint(p: &StackProcess) -> u64 {
+        let words = [p.pos as u64, p.phase.code()]
+            .into_iter()
+            .chain(p.phase.words())
+            .chain([p.spare.map_or(0, |s| s + 1), p.recycled.len() as u64])
+            .chain(p.recycled.iter().copied());
+        mix64(words.fold(0xB7E1_5162, fold_word))
+    }
+
+    #[test]
+    fn fingerprint_and_clone_from_track_a_contended_run() {
+        let mut mem = SharedMemory::new();
+        let stack = SimStack::alloc(&mut mem, &[5, 6], 3, true);
+        let mut procs: Vec<StackProcess> = (0..3)
+            .map(|i| StackProcess::new(&stack, i, &[StackOp::Push(i as u64), StackOp::Pop]))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut copy = procs[2].clone();
+        copy.recycled.reserve(8);
+        let mut recycling = 0;
+        for _ in 0..500 {
+            let i = rng.gen_range(0..3);
+            procs[i].step(&mut mem);
+            let p = &procs[i];
+            recycling += usize::from(!p.recycled.is_empty());
+            assert_eq!(p.fingerprint(), chained_fingerprint(p));
+            let buffer = copy.recycled.as_ptr();
+            copy.clone_from(p);
+            assert_eq!(copy.fingerprint(), p.fingerprint());
+            assert_eq!(copy.recycled, p.recycled);
+            if p.recycled.len() <= copy.recycled.capacity() {
+                assert_eq!(copy.recycled.as_ptr(), buffer, "recycled buffer reused");
+            }
+        }
+        assert!(recycling > 0, "some step had popped nodes in hand");
     }
 
     #[test]

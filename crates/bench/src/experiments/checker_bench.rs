@@ -15,7 +15,9 @@
 //!   of replaying every prefix guarantees this.
 //!
 //! Each target also records the peak number of frontier units alive
-//! at once and the bytes their state snapshots held.
+//! at once and the bytes their state snapshots held, and the table
+//! prints the frontier's wall time per process step, so a change in
+//! frontier ms reads as a cheaper step or a different tree.
 
 use std::path::Path;
 use std::time::Instant;
@@ -53,7 +55,14 @@ fn timed<R>(mut f: impl FnMut() -> R) -> (f64, R) {
 fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     out.note("DPOR exploration benchmark: recursive baseline vs the chunked");
     out.note("snapshot frontier.");
-    out.header(&["target", "execs", "rec ms", "frontier ms", "speedup"]);
+    out.header(&[
+        "target",
+        "execs",
+        "rec ms",
+        "frontier ms",
+        "ns/step",
+        "speedup",
+    ]);
 
     // The biggest targets carry the gate; the fast profile swaps the
     // multi-second stack-n3 for its n=2 sibling to keep CI in the
@@ -87,12 +96,15 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
             .into());
         }
         let speedup = rec_ms / frontier_ms;
+        // Per-step cost separates a faster step from a smaller tree.
+        let ns_per_step = frontier_ms * 1e6 / frontier.stats.steps.max(1) as f64;
         gate = Some((name, speedup));
         out.row(&[
             name.to_string(),
             frontier.stats.executions.to_string(),
             fmt(rec_ms),
             fmt(frontier_ms),
+            fmt(ns_per_step),
             fmt(speedup),
         ]);
         entries.push(Json::Obj(vec![

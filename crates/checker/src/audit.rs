@@ -105,9 +105,13 @@ impl StateGraph {
     /// completion-free cycle that can still *exit* toward a completion
     /// is left alone: a fair scheduler escapes it with probability 1.
     ///
-    /// Returns the smallest state fingerprint inside a violating
-    /// component (deterministic regardless of map iteration order), or
-    /// `None` when every fair execution keeps completing operations.
+    /// Returns the state of a violating component that the shortest
+    /// recorded schedule prefix reached first, ties broken by the
+    /// lexicographically smallest prefix, or `None` when every fair
+    /// execution keeps completing operations. The choice depends on the
+    /// explored schedules alone, not on fingerprint values or map
+    /// iteration order. States with no recorded prefix (possible only
+    /// in a hand-built graph) come last, smallest fingerprint first.
     ///
     /// Soundness requires an *edge-complete* graph (an unpruned
     /// exploration): sleep-set reduction omits edges whose
@@ -119,8 +123,7 @@ impl StateGraph {
     /// a completion-free cycle).
     pub fn fair_livelock(&self) -> Option<u64> {
         // Node universe: everything noted plus every edge endpoint,
-        // sorted so component numbering and the returned witness are
-        // deterministic.
+        // sorted so component numbering is deterministic.
         let mut nodes: Vec<u64> = self.first_prefix.keys().copied().collect();
         for (&from, outs) in &self.edges {
             nodes.push(from);
@@ -217,7 +220,10 @@ impl StateGraph {
                 internal[c] && !completes[c] && !outgoing[c]
             })
             .map(|(_, &fp)| fp)
-            .min()
+            .min_by_key(|&fp| {
+                let prefix = self.witness_prefix(fp);
+                (prefix.is_none(), prefix.map(|p| (p.len(), p)), fp)
+            })
     }
 
     /// Searches the completion-free transition subgraph for a cycle.
@@ -379,6 +385,33 @@ mod tests {
         g.note_edge(2, 3, false);
         g.note_edge(3, 2, false);
         assert_eq!(g.fair_livelock(), Some(2), "smallest member is returned");
+    }
+
+    #[test]
+    fn fair_livelock_witness_is_the_state_with_the_shortest_prefix() {
+        // 1 → {9 ⇄ 4 ⇄ 6}: 9 has the shortest prefix, though 4 is the
+        // smallest fingerprint.
+        let mut g = StateGraph::default();
+        g.note_state(1, &[]);
+        g.note_state(9, &[1]);
+        g.note_state(4, &[1, 0]);
+        g.note_state(6, &[1, 0, 0]);
+        g.note_edge(1, 9, true);
+        g.note_edge(9, 4, false);
+        g.note_edge(4, 9, false);
+        g.note_edge(4, 6, false);
+        g.note_edge(6, 4, false);
+        assert_eq!(g.fair_livelock(), Some(9));
+        // Equal lengths: the lexicographically smaller prefix wins.
+        let mut g = StateGraph::default();
+        g.note_state(1, &[]);
+        g.note_state(5, &[1, 0]);
+        g.note_state(8, &[0, 1]);
+        g.note_edge(1, 5, true);
+        g.note_edge(1, 8, true);
+        g.note_edge(5, 8, false);
+        g.note_edge(8, 5, false);
+        assert_eq!(g.fair_livelock(), Some(8));
     }
 
     #[test]

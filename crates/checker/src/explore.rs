@@ -6,7 +6,7 @@
 //! interleaving of its (budget-bounded) processes. Exploration is
 //! *stateful*: the configuration is built once, and every frontier
 //! unit carries a snapshot of the state it reached (a [`LiveRun`],
-//! whose processes clone through [`CheckProcess::clone_box`]). Expanding
+//! whose processes clone through [`crate::target::CloneProcess`]). Expanding
 //! a unit clones that snapshot for every explorable process but the
 //! last, which steps the snapshot itself, so no schedule prefix is ever
 //! re-executed. The recursive baseline
@@ -42,12 +42,16 @@
 //! ends (terminal, livelocked or sleep-blocked) becomes a spare that a
 //! later sibling branch overwrites with [`Clone::clone_from`] instead
 //! of allocating a copy, and one [`Linearizer`] checks every terminal
-//! history. Units are taken from the top of the stack in chunks of
-//! 256; the stop conditions (a violation found, the execution cap
-//! reached) are checked only between chunks, so where a stopped
-//! exploration ends depends on the chunk size alone. Exploration runs
-//! on the caller's thread; [`ExploreOptions::jobs`] is accepted and
-//! ignored.
+//! history. Overwriting a spare reuses everything it holds: the
+//! register file, each boxed process of the same concrete type (see
+//! [`crate::target::CloneProcess::clone_into_box`]) and every buffer.
+//! Units and spares hold their runs boxed, so queueing, splitting off
+//! and recycling a unit moves a pointer. Units are taken from the top
+//! of the stack in chunks of 256; the stop conditions (a violation
+//! found, the execution cap reached) are checked only between chunks,
+//! so where a stopped exploration ends depends on the chunk size alone.
+//! Exploration runs on the caller's thread; [`ExploreOptions::jobs`] is
+//! accepted and ignored.
 //!
 //! Violations are selected order-independently: the winner is the
 //! minimum by `(schedule length, schedule lexicographic)` among all
@@ -74,19 +78,28 @@
 //!
 //! ## Step hashing
 //!
-//! Both hashes read the same state words, in one pass: every register,
-//! every process's local fingerprint, every remaining budget. A step
-//! mutates only the stepping process and shared memory (processes are
-//! plain data), so a run caches each process's
-//! [`CheckProcess::local_fingerprint`] and refreshes only the stepping
-//! process's entry. The primary hash is a serial multiply-xorshift
-//! chain ([`fold_word`], finished by [`mix64`]); it keys the state
-//! graph. The verification hash is a sum of one [`mix64`] term per
-//! word, keyed by the word's position; the terms are independent, so
-//! they compute in parallel with the chain.
+//! Both hashes cover the same state words: every register, every
+//! process's local fingerprint, every remaining budget. Each is a
+//! wrapping sum of one [`mix64`] term per word, keyed by the word's
+//! position, with a different key sequence and word transform per
+//! hash. The primary hash keys the state graph; the verification hash
+//! backs it in the livelock check. A step changes at most three words
+//! — the register its access touched (processes are plain data and
+//! issue one shared-memory access per step), the stepping process's
+//! local fingerprint, and on a completion its budget — so `step_raw`
+//! updates both sums by swapping those words' old terms for new ones
+//! and never rehashes the rest. A run keeps a shadow of the register
+//! file for the old values and a cache of every process's
+//! [`CheckProcess::local_fingerprint`]. Debug builds check each
+//! updated pair against a from-scratch hash of all words.
+//!
+//! No report depends on the hash values themselves: the state graph
+//! only compares fingerprints for equality, and the fair-livelock
+//! witness is chosen by schedule prefix
+//! ([`crate::audit::StateGraph::fair_livelock`]).
 
 use pwf_rng::mix64;
-use pwf_sim::memory::{fold_word, Access, SharedMemory};
+use pwf_sim::memory::{Access, SharedMemory};
 use pwf_sim::process::ProcessId;
 use std::sync::Arc;
 
@@ -167,6 +180,11 @@ pub struct ExploreStats {
     /// Most bytes those snapshots held at once: each run's fields and
     /// the heap behind them, not counting heap owned inside a process.
     pub peak_frontier_bytes: u64,
+    /// Process steps taken, replays included (the recursive baseline
+    /// re-executes every prefix). Deterministic, but kept out of
+    /// [`ExploreReport::deterministic_json`]: it measures the cost of
+    /// an exploration, not its result.
+    pub steps: u64,
 }
 
 /// What kind of property failed.
@@ -238,30 +256,53 @@ impl ExploreReport {
     }
 }
 
-/// Seed of the primary state fingerprint (a [`fold_word`] chain).
-const FP_SEED: u64 = 0x9D89_5A4B;
+/// Key of the first state word's primary term.
+const FP_SEED: u64 = 0x9D89_5A4B_C2B2_AE35;
+/// Step between the keys of consecutive words' primary terms.
+const FP_STEP: u64 = 0xD6E8_FEB8_6659_FD93;
 /// Key of the first state word's verification term.
 const VERIFY_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Step between the keys of consecutive words' verification terms.
 const VERIFY_STEP: u64 = 0xA076_1D64_78BD_642F;
 
-/// Hashes the state words in one pass: the primary fingerprint, a
-/// serial [`fold_word`] chain finished by [`mix64`], and the
-/// independent verification hash, a sum of position-keyed [`mix64`]
-/// terms. The terms do not depend on each other, so they compute in
-/// parallel with the chain. [`mix64`] is a bijection, so states that
-/// differ in one word always differ in the sum; two configurations
-/// colliding under *both* hashes at once is the livelock check's
-/// residual risk (~2⁻¹²⁸ per pair).
+/// The terms state word `w` at position `i` adds to the primary and
+/// the verification hash. Each hash of a state is the wrapping sum of
+/// its words' terms, so a step that changes a word updates both hashes
+/// by subtracting the word's old terms and adding its new ones. The
+/// two terms key the position differently and transform the word
+/// differently (a rotation feeds the verification term), so the hashes
+/// are independent. [`mix64`] is a bijection, so states that differ in
+/// one word always differ in both sums; two configurations colliding
+/// under *both* hashes at once is the livelock check's residual risk
+/// (~2⁻¹²⁸ per pair).
+#[inline]
+fn terms(i: usize, w: u64) -> (u64, u64) {
+    let i = i as u64;
+    (
+        mix64(w ^ FP_SEED.wrapping_add(i.wrapping_mul(FP_STEP))),
+        mix64(w.rotate_left(29) ^ VERIFY_SEED.wrapping_add(i.wrapping_mul(VERIFY_STEP))),
+    )
+}
+
+/// Hashes the state words from scratch: the wrapping sums of their
+/// [`terms`], each word keyed by its position.
 fn hash_words(words: impl Iterator<Item = u64>) -> (u64, u64) {
-    let (h, v, _) = words.fold((FP_SEED, 0u64, VERIFY_SEED), |(h, v, key), w| {
-        (
-            fold_word(h, w),
-            v.wrapping_add(mix64(w ^ key)),
-            key.wrapping_add(VERIFY_STEP),
-        )
-    });
-    (mix64(h), v)
+    words.enumerate().fold((0, 0), |(h, v), (i, w)| {
+        let (a, b) = terms(i, w);
+        (h.wrapping_add(a), v.wrapping_add(b))
+    })
+}
+
+/// Moves `pair` from a state where word `i` held `old` to one where it
+/// holds `new`.
+#[inline]
+fn rehash(pair: &mut (u64, u64), i: usize, old: u64, new: u64) {
+    if old != new {
+        let (a0, b0) = terms(i, old);
+        let (a1, b1) = terms(i, new);
+        pair.0 = pair.0.wrapping_sub(a0).wrapping_add(a1);
+        pair.1 = pair.1.wrapping_sub(b0).wrapping_add(b1);
+    }
 }
 
 /// One in-flight execution of a configuration. Cloning a run snapshots
@@ -269,6 +310,10 @@ fn hash_words(words: impl Iterator<Item = u64>) -> (u64, u64) {
 /// [`Clone::clone_from`] reuses every buffer of the run it overwrites.
 pub struct LiveRun {
     mem: SharedMemory,
+    /// The register values [`fingerprint_pair`](Self::fingerprint_pair)
+    /// hashes: a step compares the register it accessed against its
+    /// shadow to find the old value it rehashes away.
+    regs: Vec<u64>,
     procs: Vec<Box<dyn CheckProcess>>,
     /// Every process's [`CheckProcess::local_fingerprint`]; a step
     /// refreshes only the stepping process's entry.
@@ -289,8 +334,8 @@ pub struct LiveRun {
     /// collide at once.
     seen: Vec<(u64, u64)>,
     livelocked: bool,
-    /// Cached fingerprint pair of the current state (recomputed once
-    /// per step from the cached state words).
+    /// Fingerprint pair of the current state, updated by each step
+    /// from the words it changed.
     fp_pair: (u64, u64),
 }
 
@@ -298,6 +343,7 @@ impl Clone for LiveRun {
     fn clone(&self) -> Self {
         LiveRun {
             mem: self.mem.clone(),
+            regs: self.regs.clone(),
             procs: self.procs.clone(),
             locals: self.locals.clone(),
             spec: Arc::clone(&self.spec),
@@ -313,9 +359,12 @@ impl Clone for LiveRun {
 
     fn clone_from(&mut self, source: &Self) {
         self.mem.clone_from(&source.mem);
+        self.regs.clone_from(&source.regs);
         self.procs.clone_from(&source.procs);
         self.locals.clone_from(&source.locals);
-        self.spec.clone_from(&source.spec);
+        if !Arc::ptr_eq(&self.spec, &source.spec) {
+            self.spec = Arc::clone(&source.spec);
+        }
         self.remaining.clone_from(&source.remaining);
         self.trace.clone_from(&source.trace);
         self.ops.clone_from(&source.ops);
@@ -339,6 +388,7 @@ impl LiveRun {
         assert!(n <= 64, "process count exceeds bitmask capacity");
         assert_eq!(cfg.budgets.len(), n, "one budget per process");
         let mut run = LiveRun {
+            regs: cfg.mem.registers().to_vec(),
             mem: cfg.mem,
             locals: cfg.procs.iter().map(|p| p.local_fingerprint()).collect(),
             procs: cfg.procs,
@@ -356,9 +406,9 @@ impl LiveRun {
         run
     }
 
-    /// Streams the state words — every register, every process's
-    /// cached local fingerprint, the remaining budgets — through both
-    /// hashes in one pass.
+    /// Hashes the state words from scratch — every register, every
+    /// process's cached local fingerprint, the remaining budgets: the
+    /// oracle a step's incremental update must agree with.
     fn compute_pair(&self) -> (u64, u64) {
         hash_words(
             self.mem
@@ -422,9 +472,10 @@ impl LiveRun {
     }
 
     /// Approximate bytes this run holds: its own fields plus the heap
-    /// behind them (register file, process boxes, budgets, trace, ops,
-    /// and the `seen` set). Heap owned inside a process, such as a
-    /// stack process's recycled nodes, is not counted.
+    /// behind them (register file and its shadow, process boxes,
+    /// budgets, trace, ops, and the `seen` set). Heap owned inside a
+    /// process, such as a stack process's recycled nodes, is not
+    /// counted.
     fn footprint_bytes(&self) -> usize {
         use std::mem::{size_of, size_of_val};
         let procs: usize = self
@@ -434,7 +485,7 @@ impl LiveRun {
             .sum();
         size_of::<Self>()
             + procs
-            + (self.mem.register_count() + self.locals.len()) * size_of::<u64>()
+            + (2 * self.mem.register_count() + self.locals.len()) * size_of::<u64>()
             + self.remaining.len() * size_of::<u32>()
             + self.trace.len() * size_of::<usize>()
             + self.ops.len() * size_of::<TimedOp>()
@@ -444,6 +495,10 @@ impl LiveRun {
 
     /// Steps process `p` once; returns its shared-memory access and
     /// whether the step completed an operation.
+    ///
+    /// The fingerprint pair is updated from at most three words: the
+    /// register the step accessed, `p`'s local fingerprint, and on a
+    /// completion `p`'s budget.
     ///
     /// # Panics
     ///
@@ -455,11 +510,19 @@ impl LiveRun {
             self.op_start[p] = Some(now);
         }
         let outcome = self.procs[p].step(&mut self.mem);
-        self.locals[p] = self.procs[p].local_fingerprint();
         let access = self
             .mem
             .last_access()
             .expect("every process step issues one shared-memory access");
+        // State word positions: registers, then locals, then budgets.
+        let r = access.register.index();
+        let value = self.mem.peek(access.register);
+        let old = std::mem::replace(&mut self.regs[r], value);
+        rehash(&mut self.fp_pair, r, old, value);
+        let local_at = self.regs.len();
+        let local = self.procs[p].local_fingerprint();
+        let old = std::mem::replace(&mut self.locals[p], local);
+        rehash(&mut self.fp_pair, local_at + p, old, local);
         self.trace.push(p);
         let completed = outcome.is_completed();
         if completed {
@@ -472,9 +535,17 @@ impl LiveRun {
             };
             self.ops.push(timed);
             self.remaining[p] -= 1;
+            let budget = u64::from(self.remaining[p]);
+            let budget_at = local_at + self.locals.len();
+            rehash(&mut self.fp_pair, budget_at + p, budget + 1, budget);
             self.seen.clear();
         }
-        self.fp_pair = self.compute_pair();
+        debug_assert_eq!(
+            self.fp_pair,
+            self.compute_pair(),
+            "a step changed a state word other than its register, its \
+             process's local fingerprint and its budget"
+        );
         let revisit = match self.seen.binary_search(&self.fp_pair) {
             Ok(_) => true,
             Err(i) => {
@@ -493,7 +564,9 @@ impl LiveRun {
 /// tree, self-contained (state snapshot + sleep set + explorable
 /// processes) so it expands without touching its siblings.
 struct Unit {
-    run: LiveRun,
+    /// Boxed, so queueing, splitting off and recycling a unit moves a
+    /// pointer instead of the run.
+    run: Box<LiveRun>,
     sleep: Vec<(usize, Access)>,
     /// The enabled processes not asleep here, as a mask; branches are
     /// taken lowest bit first.
@@ -521,6 +594,7 @@ fn record_step(
     let from = run.fingerprint();
     let (access, completed) = run.step_raw(p, max_depth);
     let to = run.fingerprint();
+    stats.steps += 1;
     // A known edge's target state was noted with it.
     if graph.note_edge(from, to, completed) {
         stats.transitions += 1;
@@ -546,8 +620,11 @@ struct Explorer<'a> {
     held_bytes: usize,
     /// Runs that ended (terminal, livelocked or sleep-blocked). A
     /// sibling branch overwrites one instead of allocating a copy, so
-    /// the list never holds more runs than were alive at once.
-    spare: Vec<LiveRun>,
+    /// the list never holds more runs than were alive at once. The
+    /// runs stay boxed: a recycled box becomes a unit's run without
+    /// moving it.
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<LiveRun>>,
     /// The sleep set at the state being stepped from.
     sleep_now: Vec<(usize, Access)>,
     /// The sleep set being built for the state a step reaches; swapped
@@ -579,13 +656,13 @@ impl Explorer<'_> {
     }
 
     /// A copy of `snapshot`, overwriting a spare run when there is one.
-    fn copy_of(&mut self, snapshot: &LiveRun) -> LiveRun {
+    fn copy_of(&mut self, snapshot: &LiveRun) -> Box<LiveRun> {
         match self.spare.pop() {
             Some(mut run) => {
-                run.clone_from(snapshot);
+                (*run).clone_from(snapshot);
                 run
             }
-            None => snapshot.clone(),
+            None => Box::new(snapshot.clone()),
         }
     }
 
@@ -707,7 +784,7 @@ pub fn explore(target: &CheckTarget, opts: &ExploreOptions) -> ExploreReport {
         explored: Vec::new(),
         lin: Linearizer::default(),
     };
-    let root = LiveRun::new(target.build());
+    let root = Box::new(LiveRun::new(target.build()));
     ex.graph.note_state(root.fingerprint(), &[]);
     if root.is_terminal() {
         ex.stats.executions = 1;
@@ -962,10 +1039,6 @@ mod tests {
         fn local_fingerprint(&self) -> u64 {
             fnv1a(7, &[self.seen.map_or(u64::MAX, |v| v)])
         }
-
-        fn clone_box(&self) -> Box<dyn CheckProcess> {
-            Box::new(self.clone())
-        }
     }
 
     fn cas_counter_config() -> CheckConfig {
@@ -1088,36 +1161,73 @@ mod tests {
         )
     }
 
+    /// Steps the last process alone, at most 8 times while it is
+    /// enabled. On `stack-aba-scenario` these are process 1's two pops,
+    /// which leave it holding two popped nodes where a fresh build holds
+    /// none.
+    fn solo_last(target: &CheckTarget) -> LiveRun {
+        let mut run = LiveRun::new(target.build());
+        let last = run.procs.len() - 1;
+        for _ in 0..8 {
+            if run.enabled() >> last & 1 == 1 {
+                let _ = run.step_raw(last, 4_096);
+            }
+        }
+        run
+    }
+
     #[test]
     fn snapshot_runs_match_replay_from_a_fresh_build() {
         let picks: [fn(usize) -> usize; 3] =
             [|i| i, |i| usize::MAX - i, |i| mix64(i as u64) as usize];
+        let registry = crate::targets::registry();
         let mut spares_with_ops = 0;
-        for target in crate::targets::registry() {
+        for (t, target) in registry.iter().enumerate() {
+            // A run of the next target in the registry: overwriting its
+            // processes where their concrete type differs takes the
+            // fresh-box fallback, and its register file and process
+            // list have other lengths.
+            let other = &registry[(t + 1) % registry.len()];
+            let foreign = replayed(other, &fixed_schedule(other, |i| i));
             for pick in picks {
-                let schedule = fixed_schedule(&target, pick);
-                let reference = observe(&replayed(&target, &schedule));
-                // A recycled run is overwritten from a longer schedule's
-                // run, flagged livelocked, with completed ops and a
-                // populated `seen` set.
-                let mut spare = replayed(&target, &schedule);
-                spare.livelocked = true;
-                spares_with_ops += usize::from(!spare.ops().is_empty());
-                assert!(!spare.seen.is_empty());
+                let schedule = fixed_schedule(target, pick);
+                let reference = observe(&replayed(target, &schedule));
+                // Recycled runs are overwritten from: a longer
+                // schedule's run, flagged livelocked, with completed ops
+                // and a populated `seen` set; a solo run whose stack
+                // processes hold a different number of popped nodes;
+                // and the foreign run.
+                let mut ended = replayed(target, &schedule);
+                ended.livelocked = true;
+                spares_with_ops += usize::from(!ended.ops().is_empty());
+                assert!(!ended.seen.is_empty());
+                let spares = [ended, solo_last(target), foreign.clone()];
                 for k in [0, schedule.len() / 2, schedule.len()] {
-                    let mut original = replayed(&target, &schedule[..k]);
+                    let mut original = replayed(target, &schedule[..k]);
                     let before = observe(&original);
                     let mut snapshot = original.clone();
-                    let mut recycled = spare.clone();
-                    recycled.clone_from(&original);
+                    let mut recycled: Vec<LiveRun> = spares
+                        .iter()
+                        .map(|spare| {
+                            let mut run = spare.clone();
+                            run.clone_from(&original);
+                            run
+                        })
+                        .collect();
                     let at = format!("{} at step {k} of {schedule:?}", target.name);
-                    assert_eq!(observe(&recycled), before, "{at}");
+                    for run in &recycled {
+                        assert_eq!(observe(run), before, "{at}");
+                    }
                     for &p in &schedule[k..] {
                         let _ = snapshot.step_raw(p, 4_096);
-                        let _ = recycled.step_raw(p, 4_096);
+                        for run in &mut recycled {
+                            let _ = run.step_raw(p, 4_096);
+                        }
                     }
                     assert_eq!(observe(&snapshot), reference, "{at}");
-                    assert_eq!(observe(&recycled), reference, "{at}");
+                    for run in &recycled {
+                        assert_eq!(observe(run), reference, "{at}");
+                    }
                     // The snapshot shares no mutable state: the
                     // original is untouched and still finishes alike.
                     assert_eq!(observe(&original), before, "{at}");
@@ -1133,38 +1243,63 @@ mod tests {
 
     #[test]
     fn verify_hash_is_independent_of_the_primary() {
-        // Not a proof of independence, but the two functions must at
-        // least disagree on trivial inputs, and both must be
+        // Not a proof of independence, but the two hashes must at least
+        // disagree on trivial inputs, term by term, and both must be
         // order-sensitive.
         let hash = |words: &[u64]| hash_words(words.iter().copied());
         let (h, v) = hash(&[0]);
         assert_ne!(h, v);
-        assert_ne!(hash(&[1, 2]).0, hash(&[2, 1]).0);
-        assert_ne!(hash(&[1, 2]).1, hash(&[2, 1]).1);
-        // The sum's terms are keyed by position: unequal words that
-        // swap places, apart or adjacent, change it.
-        assert_ne!(hash(&[5, 0, 9]).1, hash(&[9, 0, 5]).1);
-        assert_ne!(hash(&[0, 7, 3, 0]).1, hash(&[0, 3, 7, 0]).1);
+        for i in 0..64 {
+            for w in [0, 1, u64::MAX, mix64(i as u64)] {
+                let (a, b) = terms(i, w);
+                assert_ne!(a, b, "word {w} at {i}");
+            }
+        }
+        // Both sums key their terms by position: unequal words that
+        // swap places, apart or adjacent, change both.
+        for (x, y) in [
+            (&[1, 2][..], &[2, 1][..]),
+            (&[5, 0, 9], &[9, 0, 5]),
+            (&[0, 7, 3, 0], &[0, 3, 7, 0]),
+        ] {
+            assert_ne!(hash(x).0, hash(y).0, "{x:?}");
+            assert_ne!(hash(x).1, hash(y).1, "{x:?}");
+        }
     }
 
-    /// The fingerprint pair of `run` with every local fingerprint
-    /// recomputed from its process instead of read from `locals`, and
-    /// the verification sum recomputed term by term.
+    #[test]
+    fn rehashing_one_word_matches_hashing_from_scratch() {
+        let mut words: Vec<u64> = (0..17).map(|i| mix64(i) >> (i % 40)).collect();
+        let mut pair = hash(&words);
+        for step in 0..200u64 {
+            let i = (mix64(step) % 17) as usize;
+            let new = if step % 3 == 0 {
+                words[i]
+            } else {
+                mix64(!step)
+            };
+            rehash(&mut pair, i, words[i], new);
+            words[i] = new;
+            assert_eq!(pair, hash(&words), "after step {step}");
+        }
+
+        fn hash(words: &[u64]) -> (u64, u64) {
+            hash_words(words.iter().copied())
+        }
+    }
+
+    /// The fingerprint pair of `run` hashed from scratch, with every
+    /// local fingerprint recomputed from its process instead of read
+    /// from `locals`.
     fn pair_recomputed(run: &LiveRun) -> (u64, u64) {
-        let words: Vec<u64> = run
+        let words = run
             .mem
             .registers()
             .iter()
             .copied()
             .chain(run.procs.iter().map(|p| p.local_fingerprint()))
-            .chain(run.remaining.iter().map(|&r| u64::from(r)))
-            .collect();
-        let primary = mix64(words.iter().fold(FP_SEED, |h, &w| fold_word(h, w)));
-        let verify = (0u64..)
-            .zip(&words)
-            .map(|(i, &w)| mix64(w ^ VERIFY_SEED.wrapping_add(i.wrapping_mul(VERIFY_STEP))))
-            .fold(0u64, u64::wrapping_add);
-        (primary, verify)
+            .chain(run.remaining.iter().map(|&r| u64::from(r)));
+        hash_words(words)
     }
 
     #[test]
@@ -1179,6 +1314,7 @@ mod tests {
                 for (i, &p) in schedule.iter().enumerate() {
                     let _ = run.step_raw(p, 4_096);
                     let at = format!("{} after step {i} of {schedule:?}", target.name);
+                    assert_eq!(run.regs, run.mem.registers(), "{at}");
                     assert_eq!(run.fingerprint_pair(), pair_recomputed(&run), "{at}");
                 }
             }

@@ -6,11 +6,13 @@
 //! A [`CheckTarget`] carries a factory that builds the initial
 //! configuration. The frontier explorer builds it once per exploration
 //! and from then on *snapshots* reached states: every checkable
-//! process is plain data behind [`CheckProcess::clone_box`], so a
+//! process is plain data that clones through [`CloneProcess`], so a
 //! frontier unit clones the live run it reached instead of rebuilding
 //! and replaying its schedule prefix. Only the recursive baseline
 //! ([`crate::explore::explore_recursive`]) and schedule re-execution
 //! ([`crate::explore::run_schedule`]) still rebuild from the factory.
+
+use std::any::Any;
 
 use pwf_sim::memory::SharedMemory;
 use pwf_sim::process::{Process, StepOutcome};
@@ -29,7 +31,16 @@ use crate::spec::Spec;
 /// process and shared memory: the explorer caches every process's
 /// [`local_fingerprint`](Self::local_fingerprint) and refreshes only
 /// the stepping process's entry after a step.
-pub trait CheckProcess: Process {
+///
+/// Snapshots copy processes through [`CloneProcess`], which every
+/// `CheckProcess + Clone + 'static` type implements: deriving or
+/// writing [`Clone`] is all a target needs. Stepping a copy must not
+/// affect the original. Per-configuration data that never changes
+/// (scripts, register layouts) should be shared, not copied, and
+/// [`Clone::clone_from`] should reuse the buffers of the value it
+/// overwrites: the explorer recycles ended runs by overwriting each
+/// boxed process in place with `clone_from`.
+pub trait CheckProcess: Process + CloneProcess {
     /// The operation completed by the most recent `Completed` step.
     fn last_op(&self) -> OpRecord;
 
@@ -39,17 +50,48 @@ pub trait CheckProcess: Process {
     /// table, so two states with equal fingerprints must behave
     /// identically from here on.
     fn local_fingerprint(&self) -> u64;
+}
 
-    /// A boxed copy of this process in its current state. Stepping the
-    /// copy must not affect the original; per-configuration data that
-    /// never changes (scripts, register layouts) should be shared, not
-    /// copied, to keep snapshots cheap.
+/// Object-safe cloning of a boxed [`CheckProcess`], implemented once for
+/// every `CheckProcess + Clone + 'static` type.
+pub trait CloneProcess {
+    /// A boxed copy of this process in its current state.
     fn clone_box(&self) -> Box<dyn CheckProcess>;
+
+    /// Overwrites `target` with a copy of this process: in place, with
+    /// [`Clone::clone_from`], when `target` holds the same concrete
+    /// type; otherwise with a fresh box.
+    fn clone_into_box(&self, target: &mut Box<dyn CheckProcess>);
+
+    /// The process as [`Any`], for the concrete-type check of
+    /// [`clone_into_box`](Self::clone_into_box).
+    fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+impl<T: CheckProcess + Clone + 'static> CloneProcess for T {
+    fn clone_box(&self) -> Box<dyn CheckProcess> {
+        Box::new(self.clone())
+    }
+
+    fn clone_into_box(&self, target: &mut Box<dyn CheckProcess>) {
+        match target.as_any_mut().downcast_mut::<T>() {
+            Some(same) => same.clone_from(self),
+            None => *target = Box::new(self.clone()),
+        }
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
 }
 
 impl Clone for Box<dyn CheckProcess> {
     fn clone(&self) -> Self {
-        self.clone_box()
+        (**self).clone_box()
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        (**source).clone_into_box(self);
     }
 }
 
@@ -178,12 +220,58 @@ mod tests {
         }
 
         fn local_fingerprint(&self) -> u64 {
-            0
+            self.0.index() as u64
+        }
+    }
+
+    /// A process of another concrete type than [`Fixed`].
+    #[derive(Clone)]
+    struct Idle;
+
+    impl Process for Idle {
+        fn step(&mut self, _: &mut SharedMemory) -> StepOutcome {
+            StepOutcome::Ongoing
         }
 
-        fn clone_box(&self) -> Box<dyn CheckProcess> {
-            Box::new(self.clone())
+        fn name(&self) -> &'static str {
+            "idle"
         }
+    }
+
+    impl CheckProcess for Idle {
+        fn last_op(&self) -> OpRecord {
+            unreachable!("an idle process never completes")
+        }
+
+        fn local_fingerprint(&self) -> u64 {
+            u64::MAX
+        }
+    }
+
+    /// The address of the process a box holds.
+    fn addr(p: &dyn CheckProcess) -> *const () {
+        (p as *const dyn CheckProcess).cast()
+    }
+
+    #[test]
+    fn boxed_clone_from_overwrites_in_place_only_within_one_type() {
+        let mut mem = SharedMemory::new();
+        let a = mem.alloc(0);
+        let b = mem.alloc(0);
+        let source: Box<dyn CheckProcess> = Box::new(Fixed(b));
+        let mut same: Box<dyn CheckProcess> = Box::new(Fixed(a));
+        assert_ne!(same.local_fingerprint(), source.local_fingerprint());
+        let before = addr(&*same);
+        same.clone_from(&source);
+        assert_eq!(addr(&*same), before, "same type: overwritten in place");
+        assert_eq!(same.local_fingerprint(), source.local_fingerprint());
+        let mut other: Box<dyn CheckProcess> = Box::new(Idle);
+        other.clone_from(&source);
+        assert_eq!(other.name(), "fixed", "other type: replaced by a fresh box");
+        assert_eq!(other.local_fingerprint(), source.local_fingerprint());
+        let copy = source.clone();
+        assert_ne!(addr(&*copy), addr(&*source));
+        assert_eq!(copy.local_fingerprint(), source.local_fingerprint());
     }
 
     #[test]

@@ -21,10 +21,6 @@ impl CheckProcess for FaiProcess {
     fn local_fingerprint(&self) -> u64 {
         self.fingerprint()
     }
-
-    fn clone_box(&self) -> Box<dyn CheckProcess> {
-        Box::new(self.clone())
-    }
 }
 
 /// The classic broken counter: `inc` *reads* the register in one step
@@ -82,10 +78,6 @@ impl CheckProcess for RwCounter {
     fn local_fingerprint(&self) -> u64 {
         fnv1a(0x6A09_E667, &[self.seen.map_or(u64::MAX, |v| v)])
     }
-
-    fn clone_box(&self) -> Box<dyn CheckProcess> {
-        Box::new(self.clone())
-    }
 }
 
 /// A process that spins reading a register and never completes its
@@ -122,10 +114,6 @@ impl CheckProcess for Spinner {
 
     fn local_fingerprint(&self) -> u64 {
         0
-    }
-
-    fn clone_box(&self) -> Box<dyn CheckProcess> {
-        Box::new(self.clone())
     }
 }
 

@@ -168,10 +168,6 @@ impl CheckProcess for DedupProcess {
     fn local_fingerprint(&self) -> u64 {
         fnv1a(0xDED0_0DED, &[self.phase.code(), self.fetched])
     }
-
-    fn clone_box(&self) -> Box<dyn CheckProcess> {
-        Box::new(self.clone())
-    }
 }
 
 fn build_dedup_inner(notify_before_publish: bool) -> CheckConfig {

@@ -73,10 +73,6 @@ impl CheckProcess for OwnRegisterWriter {
     fn local_fingerprint(&self) -> u64 {
         fnv1a(0x243F_6A88, &[self.pos as u64, self.count])
     }
-
-    fn clone_box(&self) -> Box<dyn CheckProcess> {
-        Box::new(self.clone())
-    }
 }
 
 fn build_parallel() -> CheckConfig {

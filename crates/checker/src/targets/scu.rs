@@ -30,10 +30,6 @@ impl CheckProcess for ScuProcess {
     fn local_fingerprint(&self) -> u64 {
         self.fingerprint()
     }
-
-    fn clone_box(&self) -> Box<dyn CheckProcess> {
-        Box::new(self.clone())
-    }
 }
 
 fn build_scu_n(q: usize, s: usize, budgets: Vec<u32>) -> CheckConfig {

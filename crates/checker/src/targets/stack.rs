@@ -33,10 +33,6 @@ impl CheckProcess for StackProcess {
     fn local_fingerprint(&self) -> u64 {
         self.fingerprint()
     }
-
-    fn clone_box(&self) -> Box<dyn CheckProcess> {
-        Box::new(self.clone())
-    }
 }
 
 /// Builds a stack configuration: `initial` bottom first, one op script

@@ -84,11 +84,29 @@ impl fmt::Display for RegisterId {
 /// assert_eq!(mem.read(r), 7);
 /// assert_eq!(mem.steps(), 3);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct SharedMemory {
     regs: Vec<u64>,
     steps: u64,
     last_access: Option<Access>,
+}
+
+/// [`Clone::clone_from`] overwrites the register file in place, so a
+/// checker recycling state snapshots allocates no new one.
+impl Clone for SharedMemory {
+    fn clone(&self) -> Self {
+        SharedMemory {
+            regs: self.regs.clone(),
+            steps: self.steps,
+            last_access: self.last_access,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.regs.clone_from(&source.regs);
+        self.steps = source.steps;
+        self.last_access = source.last_access;
+    }
 }
 
 impl SharedMemory {
@@ -378,6 +396,28 @@ mod tests {
         assert_eq!(m1.fingerprint(), m2.fingerprint());
         m1.write(r1, 8);
         assert_ne!(m1.fingerprint(), m2.fingerprint());
+    }
+
+    #[test]
+    fn clone_from_copies_every_field_into_the_existing_register_file() {
+        let mut source = SharedMemory::new();
+        let a = source.alloc(1);
+        source.alloc(2);
+        source.write(a, 9);
+        let mut copy = SharedMemory::new();
+        for i in 0..4 {
+            copy.alloc(i);
+        }
+        copy.read(a);
+        let buffer = copy.registers().as_ptr();
+        copy.clone_from(&source);
+        assert_eq!(copy.registers(), source.registers());
+        assert_eq!(copy.steps(), source.steps());
+        assert_eq!(copy.last_access(), source.last_access());
+        assert_eq!(copy.registers().as_ptr(), buffer, "register file reused");
+        // The copy is independent of its source.
+        copy.write(a, 3);
+        assert_eq!(source.peek(a), 9);
     }
 
     #[test]

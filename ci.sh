@@ -28,6 +28,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo build --release (offline)"
 cargo build --release --offline --workspace
 
+echo "==> pwf check: deterministic experiments match their recorded results"
+# Re-runs every deterministic experiment under the golden seed and
+# diffs it against results/; exits nonzero on any drift. This is the
+# gate that a hot-path change leaves every simulated execution, and
+# with it every golden, bit-identical.
+./target/release/pwf check
+
 echo "==> cargo test (offline)"
 # One tier: the vendored-proptest property suites run here with
 # everything else.

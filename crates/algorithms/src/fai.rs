@@ -103,7 +103,7 @@ impl FaiProcess {
     /// on identical memory: the local view `v` is the entire state
     /// machine (wins and collection only record history).
     pub fn fingerprint(&self) -> u64 {
-        pwf_sim::memory::fnv1a(0x9E3779B97F4A7C15, &[self.v])
+        pwf_sim::memory::fold_words(0x9E3779B97F4A7C15, &[self.v])
     }
 }
 

@@ -172,7 +172,7 @@ impl ScuProcess {
             Phase::Scan(j) => (1 << 20) | j as u64,
             Phase::Validate => 1 << 21,
         };
-        pwf_sim::memory::fnv1a(0x517CC1B727220A95, &[phase, self.scanned, self.seq])
+        pwf_sim::memory::fold_words(0x517CC1B727220A95, &[phase, self.scanned, self.seq])
     }
 }
 

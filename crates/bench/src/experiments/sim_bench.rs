@@ -3,6 +3,10 @@
 //! uniform-weight workload, and the `Box<dyn Process>` stepping loop
 //! against the monomorphized allocation-free core, recording the
 //! trajectory in `BENCH_sim.json` so speedups are tracked across PRs.
+//! A third table splits a uniform-scheduler step of the served fleets
+//! into its components: the pick alone (the scheduler filling a
+//! `PICK_BLOCK` array, as the executor does) and the full executor
+//! step; the rest is the process step and the loop around it.
 //!
 //! Wall-clock measurement is hardware-dependent, so the experiment
 //! registers `deterministic: false` and `pwf check` skips it; the
@@ -11,15 +15,19 @@
 //! strictly faster at the largest size) are what make it a test
 //! rather than a report.
 
+use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
 
+use pwf_core::spec::{AlgorithmSpec, SchedulerSpec};
+use pwf_rng::rngs::StdRng;
+use pwf_rng::SeedableRng;
 use pwf_runner::json::Json;
 use pwf_runner::{fmt, ExpConfig, ExpResult, FnExperiment, ReportBuilder};
-use pwf_sim::executor::{run_into, Execution, NoHook, RunConfig};
+use pwf_sim::executor::{run_into, Execution, NoHook, RunConfig, PICK_BLOCK};
 use pwf_sim::memory::SharedMemory;
-use pwf_sim::process::{Process, TickingProcess};
-use pwf_sim::scheduler::{Scheduler, UniformScheduler, WeightedScheduler};
+use pwf_sim::process::{Process, ProcessId, TickingProcess};
+use pwf_sim::scheduler::{ActiveSet, Scheduler, UniformScheduler, WeightedScheduler};
 
 /// The registered experiment.
 pub const EXP: FnExperiment = FnExperiment {
@@ -53,6 +61,57 @@ fn timed_run(
     let start = Instant::now();
     run_into(&mut ps, scheduler, &mut mem, &config, &mut NoHook, out);
     (start.elapsed().as_secs_f64() * 1e3, out.total_completions())
+}
+
+/// The fleets of the per-step breakdown: the algorithms `pwf serve`
+/// simulates.
+const SERVED_FLEETS: [(&str, AlgorithmSpec); 3] = [
+    ("scu(2,1)", AlgorithmSpec::Scu { q: 2, s: 1 }),
+    ("fai", AlgorithmSpec::FetchAndInc),
+    ("parallel(8)", AlgorithmSpec::Parallel { q: 8 }),
+];
+
+/// Best-of-three nanoseconds per uniform pick over `n` active
+/// processes: the boxed scheduler the served path builds, filling one
+/// `PICK_BLOCK` array after another, with no process stepping.
+fn pick_ns(n: usize, seed: u64, steps: u64) -> f64 {
+    let active = ActiveSet::all(n);
+    let blocks = steps.div_ceil(PICK_BLOCK as u64);
+    let mut block = [ProcessId::new(0); PICK_BLOCK];
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let mut scheduler = SchedulerSpec::Uniform.build();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let start = Instant::now();
+        for b in 0..blocks {
+            for (tau, slot) in (b * PICK_BLOCK as u64 + 1..).zip(block.iter_mut()) {
+                *slot = scheduler.schedule(tau, &active, &mut rng);
+            }
+            black_box(&block);
+        }
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    best * 1e9 / (blocks * PICK_BLOCK as u64) as f64
+}
+
+/// Best-of-three milliseconds of `run_into` over a fresh copy of the
+/// fleet `fleet` allocates: the stepping loop is so cheap that a
+/// single run is dominated by cache warm-up noise.
+fn best_run_ms<P: Process, S: Scheduler + ?Sized>(
+    fleet: impl Fn(&mut SharedMemory) -> Vec<P>,
+    scheduler: &mut S,
+    config: &RunConfig,
+    out: &mut Execution,
+) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let mut mem = SharedMemory::new();
+        let mut ps = fleet(&mut mem);
+        let start = Instant::now();
+        run_into(&mut ps, scheduler, &mut mem, config, &mut NoHook, out);
+        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+    }
+    best
 }
 
 fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
@@ -114,52 +173,49 @@ fn fill(cfg: &ExpConfig, out: &mut ReportBuilder) -> ExpResult {
     let n = 256;
     let seed = cfg.sub_seed(1 << 20);
     let config = RunConfig::new(steps).seed(seed);
-    // Best-of-three per side: the stepping loop is so cheap that a
-    // single run is dominated by cache warm-up noise.
+    let ticking = |mem: &mut SharedMemory| {
+        let r = mem.alloc(0);
+        (0..n).map(move |_| TickingProcess::new(r, 5))
+    };
     let mut dyn_out = Execution::empty();
-    let mut dyn_ms = f64::INFINITY;
-    for _ in 0..3 {
-        let mut mem = SharedMemory::new();
-        let r = mem.alloc(0);
-        let mut boxed: Vec<Box<dyn Process>> = (0..n)
-            .map(|_| Box::new(TickingProcess::new(r, 5)) as Box<dyn Process>)
-            .collect();
-        let mut sched = UniformScheduler::new();
-        let start = Instant::now();
-        run_into(
-            &mut boxed,
-            &mut sched,
-            &mut mem,
-            &config,
-            &mut NoHook,
-            &mut dyn_out,
-        );
-        dyn_ms = dyn_ms.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-
+    let dyn_ms = best_run_ms(
+        |mem| {
+            ticking(mem)
+                .map(|p| Box::new(p) as Box<dyn Process>)
+                .collect()
+        },
+        &mut UniformScheduler::new(),
+        &config,
+        &mut dyn_out,
+    );
     let mut mono_out = Execution::empty();
-    let mut mono_ms = f64::INFINITY;
-    for _ in 0..3 {
-        let mut mem = SharedMemory::new();
-        let r = mem.alloc(0);
-        let mut plain: Vec<TickingProcess> = (0..n).map(|_| TickingProcess::new(r, 5)).collect();
-        let mut sched = UniformScheduler::new();
-        let start = Instant::now();
-        run_into(
-            &mut plain,
-            &mut sched,
-            &mut mem,
-            &config,
-            &mut NoHook,
-            &mut mono_out,
-        );
-        mono_ms = mono_ms.min(start.elapsed().as_secs_f64() * 1e3);
-    }
+    let mono_ms = best_run_ms(
+        |mem| ticking(mem).collect(),
+        &mut UniformScheduler::new(),
+        &config,
+        &mut mono_out,
+    );
     if dyn_out.process_completions != mono_out.process_completions {
         return Err("mono and dyn stepping disagree under identical seeds".into());
     }
     let mono_speedup = dyn_ms / mono_ms;
     out.row(&[n.to_string(), fmt(dyn_ms), fmt(mono_ms), fmt(mono_speedup)]);
+
+    out.note("");
+    out.note(&format!(
+        "uniform-scheduler step components at n = {n}: the pick alone, in"
+    ));
+    out.note(&format!(
+        "{PICK_BLOCK}-pick blocks, and the full executor step (best of 3):"
+    ));
+    out.header(&["fleet", "ns/pick", "ns/step", "pick share"]);
+    let pick = pick_ns(n, seed, steps);
+    let mut served = SchedulerSpec::Uniform.build();
+    for (name, spec) in &SERVED_FLEETS {
+        let ms = best_run_ms(|mem| spec.build(mem, n), served.as_mut(), &config, &mut buf);
+        let step = ms * 1e6 / steps as f64;
+        out.row(&[name.to_string(), fmt(pick), fmt(step), fmt(pick / step)]);
+    }
 
     let mut fields = vec![
         ("benchmark".into(), Json::Str("pwf-sim".into())),

@@ -8,8 +8,7 @@
 //! searches over orders of applying records; cloning a spec forks the
 //! search state, and [`Spec::fingerprint`] keys the memoization table.
 
-use pwf_rng::mix64;
-use pwf_sim::memory::{fnv1a, fold_word};
+use pwf_sim::memory::{fnv1a, fold_words};
 
 use crate::op::OpRecord;
 
@@ -199,7 +198,7 @@ impl Spec {
             Spec::Snapshot { segments } => (5, segments),
             Spec::Coalesced { value } => (6, std::slice::from_ref(value)),
         };
-        mix64(words.iter().fold(tag, |h, &w| fold_word(h, w)))
+        fold_words(tag, words)
     }
 
     /// The spec's name, for reports.

@@ -2,7 +2,7 @@
 //! a deliberately non-linearizable read-then-write mutant.
 
 use pwf_algorithms::fai::FaiProcess;
-use pwf_sim::memory::{fnv1a, RegisterId, SharedMemory};
+use pwf_sim::memory::{fold_words, RegisterId, SharedMemory};
 use pwf_sim::process::{Process, StepOutcome};
 
 use crate::op::OpRecord;
@@ -76,7 +76,7 @@ impl CheckProcess for RwCounter {
     }
 
     fn local_fingerprint(&self) -> u64 {
-        fnv1a(0x6A09_E667, &[self.seen.map_or(u64::MAX, |v| v)])
+        fold_words(0x6A09_E667, &[self.seen.map_or(u64::MAX, |v| v)])
     }
 }
 

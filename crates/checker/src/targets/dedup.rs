@@ -30,7 +30,7 @@
 //! `pwf vet` catches it and ddmin-shrinks the witness to a replayable
 //! `.sched`.
 
-use pwf_sim::memory::{fnv1a, RegisterId, SharedMemory};
+use pwf_sim::memory::{fold_words, RegisterId, SharedMemory};
 use pwf_sim::process::{Process, StepOutcome};
 
 use crate::op::OpRecord;
@@ -166,7 +166,7 @@ impl CheckProcess for DedupProcess {
     }
 
     fn local_fingerprint(&self) -> u64 {
-        fnv1a(0xDED0_0DED, &[self.phase.code(), self.fetched])
+        fold_words(0xDED0_0DED, &[self.phase.code(), self.fetched])
     }
 }
 

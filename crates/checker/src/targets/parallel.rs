@@ -4,7 +4,7 @@
 //! whole schedule tree to a single execution — the yardstick for the
 //! reported reduction ratio.
 
-use pwf_sim::memory::{fnv1a, RegisterId, SharedMemory};
+use pwf_sim::memory::{fold_words, RegisterId, SharedMemory};
 use pwf_sim::process::{Process, StepOutcome};
 
 use crate::op::OpRecord;
@@ -71,7 +71,7 @@ impl CheckProcess for OwnRegisterWriter {
     }
 
     fn local_fingerprint(&self) -> u64 {
-        fnv1a(0x243F_6A88, &[self.pos as u64, self.count])
+        fold_words(0x243F_6A88, &[self.pos as u64, self.count])
     }
 }
 

@@ -20,67 +20,33 @@
 //!   a call site means changing `rand` to `pwf_rng` in its imports and
 //!   nothing else);
 //! * distribution helpers: unbiased integer ranges, `f64` ranges,
-//!   [`Bernoulli`], [`Zipf`], and Fisher–Yates [`Rng::shuffle`].
+//!   [`Bernoulli`], [`Zipf`], and Fisher–Yates [`Rng::shuffle`];
+//! * [`UniformBelow`], a reusable uniform draw from `[0, n)` that
+//!   takes exactly the draws of `gen_range(0..n)` without dividing.
 //!
 //! Everything is deterministic given a seed; nothing reads OS entropy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod block;
 pub mod chacha;
 pub mod dist;
 pub mod splitmix;
 pub mod xoshiro;
 
-pub use block::BlockRng;
 pub use chacha::ChaChaRng;
 pub use dist::{Bernoulli, Zipf};
 pub use splitmix::{mix64, SplitMix64};
 pub use xoshiro::Xoshiro256PlusPlus;
 
 /// Generator namespace mirroring `rand`'s `rngs` module, so migrated
-/// call sites keep their module paths (`pwf_rng::rngs::StdRng`,
-/// `pwf_rng::rngs::mock::StepRng`).
+/// call sites keep their module paths (`pwf_rng::rngs::StdRng`).
 pub mod rngs {
     /// The workspace's standard generator: xoshiro256++.
     ///
     /// Unlike `rand`, the concrete algorithm is part of the contract —
     /// recorded experiment outputs depend on the exact stream.
     pub type StdRng = super::Xoshiro256PlusPlus;
-
-    /// Trivial generators for tests.
-    pub mod mock {
-        use crate::RngCore;
-
-        /// A mock generator returning an arithmetic sequence, for
-        /// tests that need an `RngCore` but no randomness
-        /// (API-compatible with `rand`'s mock `StepRng`).
-        #[derive(Debug, Clone)]
-        pub struct StepRng {
-            v: u64,
-            step: u64,
-        }
-
-        impl StepRng {
-            /// Creates a generator yielding `initial`, `initial +
-            /// increment`, `initial + 2*increment`, …
-            pub fn new(initial: u64, increment: u64) -> Self {
-                StepRng {
-                    v: initial,
-                    step: increment,
-                }
-            }
-        }
-
-        impl RngCore for StepRng {
-            fn next_u64(&mut self) -> u64 {
-                let out = self.v;
-                self.v = self.v.wrapping_add(self.step);
-                out
-            }
-        }
-    }
 }
 
 /// The minimal object-safe generator interface: a source of `u64`s.
@@ -113,12 +79,6 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
     }
 }
 
-impl<R: RngCore + ?Sized> RngCore for Box<R> {
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
-}
-
 /// Construction of a generator from a seed.
 pub trait SeedableRng: Sized {
     /// The full-entropy seed type (a fixed byte array).
@@ -140,19 +100,79 @@ pub trait SampleUniform: PartialOrd + Copy {
     fn sample_half_open<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self) -> Self;
 }
 
+/// The largest draw a uniform pick below `n` accepts: `[0, limit]`
+/// holds a whole number of copies of `[0, n)`, so `v % n` of an
+/// accepted `v` has no modulo bias. At worst (`n` just above 2^63)
+/// half the draws are rejected.
+fn rejection_limit(n: u64) -> u64 {
+    let overhang = (u64::MAX % n + 1) % n;
+    u64::MAX - overhang
+}
+
 /// Draws a uniform `u64` in `[0, n)` by rejection sampling, with no
 /// modulo bias.
 fn uniform_u64_below<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
     debug_assert!(n > 0);
-    // Accept v only below the largest multiple of n representable in
-    // u64 arithmetic; at worst (n just above 2^63) this rejects half
-    // the draws.
-    let overhang = (u64::MAX % n + 1) % n;
-    let limit = u64::MAX - overhang;
+    let limit = rejection_limit(n);
     loop {
         let v = rng.next_u64();
         if v <= limit {
             return v % n;
+        }
+    }
+}
+
+/// A uniform draw from `[0, n)` with its divisions paid once.
+///
+/// [`sample`](Self::sample) takes exactly the draws of
+/// `rng.gen_range(0..n)` and returns the same value, but computes the
+/// remainder from `m = ⌈2^128 / n⌉` by multiplication alone (Lemire,
+/// Kaser & Kurz, "Faster remainder by direct computation", 2019),
+/// exact for every `u64` draw and `n`. Building `m` costs more than
+/// one pick, so one-shot `gen_range` keeps its divide.
+#[derive(Debug, Clone, Copy)]
+pub struct UniformBelow {
+    n: u64,
+    limit: u64,
+    /// `⌈2^128 / n⌉ mod 2^128` (0 at `n = 1`, where every remainder is
+    /// 0 anyway).
+    m: u128,
+}
+
+impl UniformBelow {
+    /// The sampler for `[0, n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(n: u64) -> Self {
+        assert!(n > 0, "cannot sample from empty range");
+        UniformBelow {
+            n,
+            limit: rejection_limit(n),
+            m: (u128::MAX / u128::from(n)).wrapping_add(1),
+        }
+    }
+
+    /// `v % n`, computed as the top 64 bits of `n · (m · v mod 2^128)`.
+    #[inline]
+    fn rem(&self, v: u64) -> u64 {
+        let frac = self.m.wrapping_mul(u128::from(v));
+        let n = u128::from(self.n);
+        // The 192-bit product n · frac, split at the 64-bit halves of
+        // frac; the sum cannot overflow 128 bits.
+        let high = n * (frac >> 64) + ((n * (frac as u64 as u128)) >> 64);
+        (high >> 64) as u64
+    }
+
+    /// Draws a uniform value in `[0, n)`.
+    #[inline]
+    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u64 {
+        loop {
+            let v = rng.next_u64();
+            if v <= self.limit {
+                return self.rem(v);
+            }
         }
     }
 }
@@ -285,15 +305,58 @@ impl<R: RngCore + ?Sized> Rng for R {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rngs::mock::StepRng;
     use crate::rngs::StdRng;
 
+    /// The divisors where a remainder shortcut is likeliest to break:
+    /// the smallest, powers of two and their neighbours, both sides of
+    /// 2^32 and 2^63, and the largest.
+    fn edge_divisors() -> Vec<u64> {
+        let mut ns = vec![1, 2, 3, 7, 1 << 32, (1 << 32) - 1, (1 << 32) + 1];
+        for k in [4, 10, 31, 33, 62, 63] {
+            let p = 1u64 << k;
+            ns.extend([p - 1, p, p + 1]);
+        }
+        ns.extend([u64::MAX - 1, u64::MAX]);
+        ns
+    }
+
     #[test]
-    fn step_rng_steps() {
-        let mut r = StepRng::new(5, 3);
-        assert_eq!(r.next_u64(), 5);
-        assert_eq!(r.next_u64(), 8);
-        assert_eq!(r.next_u64(), 11);
+    fn uniform_below_remainder_is_exact() {
+        let mut r = StdRng::seed_from_u64(12);
+        for n in edge_divisors() {
+            let s = UniformBelow::new(n);
+            for v in [
+                0,
+                s.limit - 1,
+                s.limit,
+                u64::MAX,
+                n - 1,
+                n,
+                n.wrapping_add(1),
+            ] {
+                assert_eq!(s.rem(v), v % n, "v = {v}, n = {n}");
+            }
+            for _ in 0..100_000 {
+                let v = r.next_u64();
+                assert_eq!(s.rem(v), v % n, "v = {v}, n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_below_draws_exactly_what_gen_range_draws() {
+        let mut ns = edge_divisors();
+        ns.extend([5, 6, 1000, 1023, 1024, 1025]);
+        for (i, n) in ns.into_iter().enumerate() {
+            let s = UniformBelow::new(n);
+            let mut a = StdRng::seed_from_u64(i as u64);
+            let mut b = a.clone();
+            for _ in 0..2_000 {
+                assert_eq!(s.sample(&mut a), b.gen_range(0..n), "n = {n}");
+            }
+            // Rejections consumed the same number of draws on each side.
+            assert_eq!(a, b, "n = {n}");
+        }
     }
 
     #[test]

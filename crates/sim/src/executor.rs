@@ -3,10 +3,14 @@
 //! At each time step the scheduler picks an active process, which
 //! performs local computation and one shared-memory step. The executor
 //! records completions and (optionally) the full schedule trace.
+//! A pick never depends on process state, so [`run_into`] draws up to
+//! [`PICK_BLOCK`] picks in a loop of their own before stepping them:
+//! the generator stays in registers, and the execution is the
+//! step-by-step loop's, pick for pick.
 
 use pwf_obs::{EventKind, ThreadRecorder};
 use pwf_rng::rngs::StdRng;
-use pwf_rng::{BlockRng, SeedableRng};
+use pwf_rng::SeedableRng;
 
 use crate::crash::CrashSchedule;
 use crate::memory::SharedMemory;
@@ -184,6 +188,10 @@ impl StepHook for ThreadRecorder {
     }
 }
 
+/// The most picks [`run_into`] draws ahead of the steps that use them:
+/// one stack array of process ids.
+pub const PICK_BLOCK: usize = 64;
+
 /// Runs `processes` under `scheduler` against `memory` per `config`.
 ///
 /// Time steps are 1-based (`τ = 1, 2, …`), matching the paper. Crashes
@@ -239,8 +247,10 @@ pub fn run_hooked<H: StepHook>(
 ///
 /// Results land in `out`, whose buffers are cleared and refilled:
 /// reusing one [`Execution`] across replications makes the loop
-/// allocation-free after warm-up. RNG draws are batched through
-/// [`BlockRng`] (bit-identical stream, amortized refills).
+/// allocation-free after warm-up. The schedule is drawn in blocks of
+/// up to [`PICK_BLOCK`] picks, each cut at the next crash time and at
+/// `config.steps`; the hook then sees every `on_pick` and
+/// `on_complete` in `τ` order, as in a step-by-step loop.
 ///
 /// # Panics
 ///
@@ -260,7 +270,7 @@ pub fn run_into<P, S, H>(
     let n = processes.len();
     assert!(n > 0, "need at least one process");
     let mut active = ActiveSet::all(n);
-    let mut rng = BlockRng::new(StdRng::seed_from_u64(config.seed));
+    let mut rng = StdRng::seed_from_u64(config.seed);
 
     // Reset the output shell in place: lengths change, capacity stays.
     out.steps = config.steps;
@@ -281,40 +291,52 @@ pub fn run_into<P, S, H>(
     // of an O(#crashes) filter scan per step. Events timed before the
     // first step (τ < 1) never fire, matching `crashes_at`.
     let crash_events = config.crashes.events();
-    let mut crash_idx = 0;
+    let mut crash_idx = crash_events.partition_point(|&(t, _)| t < 1);
 
-    for tau in 1..=config.steps {
-        while crash_idx < crash_events.len() && crash_events[crash_idx].0 < tau {
-            crash_idx += 1;
-        }
-        while crash_idx < crash_events.len() && crash_events[crash_idx].0 == tau {
+    let mut picks = [ProcessId::new(0); PICK_BLOCK];
+    let mut start = 1;
+    while start <= config.steps {
+        while crash_idx < crash_events.len() && crash_events[crash_idx].0 == start {
             let p = crash_events[crash_idx].1;
             active.crash(p);
-            hook.on_crash(tau, p);
+            hook.on_crash(start, p);
             crash_idx += 1;
         }
-        let p = scheduler.schedule(tau, &active, &mut rng);
-        debug_assert!(active.is_active(p), "scheduler returned crashed process");
-        hook.on_pick(tau, p);
-        let before = memory.steps();
-        let outcome = processes[p.index()].step(memory);
-        debug_assert_eq!(
-            memory.steps(),
-            before + 1,
-            "process {p} must issue exactly one shared-memory step"
-        );
-        out.process_steps[p.index()] += 1;
-        if outcome == StepOutcome::Completed {
-            out.completions.push(Completion {
-                time: tau,
-                process: p,
-            });
-            out.process_completions[p.index()] += 1;
-            hook.on_complete(tau, p);
+        // Every remaining crash is timed after `start`, so the block
+        // holds at least one step.
+        let next_crash = crash_events.get(crash_idx).map_or(u64::MAX, |&(t, _)| t);
+        let end = config
+            .steps
+            .min(next_crash - 1)
+            .min(start + PICK_BLOCK as u64 - 1);
+        let block = &mut picks[..(end - start + 1) as usize];
+        for (tau, slot) in (start..).zip(block.iter_mut()) {
+            *slot = scheduler.schedule(tau, &active, &mut rng);
+        }
+        for (tau, &p) in (start..).zip(block.iter()) {
+            debug_assert!(active.is_active(p), "scheduler returned crashed process");
+            hook.on_pick(tau, p);
+            let before = memory.steps();
+            let outcome = processes[p.index()].step(memory);
+            debug_assert_eq!(
+                memory.steps(),
+                before + 1,
+                "process {p} must issue exactly one shared-memory step"
+            );
+            out.process_steps[p.index()] += 1;
+            if outcome == StepOutcome::Completed {
+                out.completions.push(Completion {
+                    time: tau,
+                    process: p,
+                });
+                out.process_completions[p.index()] += 1;
+                hook.on_complete(tau, p);
+            }
         }
         if let Some(t) = out.trace.as_mut() {
-            t.push(p);
+            t.extend_from_slice(block);
         }
+        start = end + 1;
     }
 }
 
@@ -323,13 +345,151 @@ mod tests {
     use super::*;
     use crate::memory::SharedMemory;
     use crate::process::TickingProcess;
-    use crate::scheduler::{AdversarialScheduler, UniformScheduler};
+    use crate::quantum::{PriorityScheduler, QuantumScheduler};
+    use crate::scheduler::{
+        ActiveSet, AdversarialScheduler, LotteryScheduler, MarkovScheduler, UniformScheduler,
+        WeightedScheduler,
+    };
 
     fn ticking_fleet(mem: &mut SharedMemory, n: usize, period: u64) -> Vec<Box<dyn Process>> {
         let r = mem.alloc(0);
         (0..n)
             .map(|_| Box::new(TickingProcess::new(r, period)) as Box<dyn Process>)
             .collect()
+    }
+
+    /// Records every hook call in order: `(kind, τ, process)` with kind
+    /// 0 = crash, 1 = pick, 2 = completion.
+    #[derive(Default)]
+    struct Log(Vec<(u8, u64, usize)>);
+
+    impl StepHook for Log {
+        fn on_pick(&mut self, tau: u64, p: ProcessId) {
+            self.0.push((1, tau, p.index()));
+        }
+
+        fn on_complete(&mut self, tau: u64, p: ProcessId) {
+            self.0.push((2, tau, p.index()));
+        }
+
+        fn on_crash(&mut self, tau: u64, p: ProcessId) {
+            self.0.push((0, tau, p.index()));
+        }
+    }
+
+    /// The step-by-step loop `run_into` must agree with: crashes at `τ`,
+    /// then one pick, then its step, for every `τ` in turn.
+    fn run_per_step(
+        processes: &mut [Box<dyn Process>],
+        scheduler: &mut dyn Scheduler,
+        memory: &mut SharedMemory,
+        config: &RunConfig,
+        hook: &mut Log,
+    ) -> Execution {
+        let n = processes.len();
+        let mut active = ActiveSet::all(n);
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut out = Execution::empty();
+        out.steps = config.steps;
+        out.process_steps = vec![0; n];
+        out.process_completions = vec![0; n];
+        let mut trace = Vec::new();
+        for tau in 1..=config.steps {
+            for p in config.crashes.crashes_at(tau) {
+                active.crash(p);
+                hook.on_crash(tau, p);
+            }
+            let p = scheduler.schedule(tau, &active, &mut rng);
+            hook.on_pick(tau, p);
+            out.process_steps[p.index()] += 1;
+            if processes[p.index()].step(memory) == StepOutcome::Completed {
+                out.completions.push(Completion {
+                    time: tau,
+                    process: p,
+                });
+                out.process_completions[p.index()] += 1;
+                hook.on_complete(tau, p);
+            }
+            trace.push(p);
+        }
+        out.trace = Some(trace);
+        out
+    }
+
+    #[test]
+    fn pick_blocks_match_the_step_by_step_loop() {
+        let n = 7;
+        let schedulers: [fn() -> Box<dyn Scheduler>; 7] = [
+            || Box::new(UniformScheduler::new()),
+            || {
+                Box::new(WeightedScheduler::new(vec![
+                    1.0, 8.0, 2.0, 0.5, 3.0, 1.0, 4.0,
+                ]))
+            },
+            || Box::new(LotteryScheduler::new(vec![3, 1, 4, 1, 5, 9, 2])),
+            || Box::new(MarkovScheduler::new(0.6)),
+            || {
+                Box::new(AdversarialScheduler::cycle(
+                    [1, 0, 6, 1, 2, 5, 3, 4].map(ProcessId::new).to_vec(),
+                ))
+            },
+            || Box::new(QuantumScheduler::new(0.2)),
+            || Box::new(PriorityScheduler::new(0.3)),
+        ];
+        let crash_plans: [&[(u64, usize)]; 4] = [
+            &[],
+            &[(1, 1)],
+            &[(63, 0), (64, 5), (65, 1)],
+            &[(1, 6), (63, 1), (64, 0), (65, 4), (128, 3)],
+        ];
+        for build in schedulers {
+            for plan in crash_plans {
+                for steps in [1, 63, 64, 65, 129] {
+                    let crashes = CrashSchedule::new(
+                        plan.iter().map(|&(t, p)| (t, ProcessId::new(p))).collect(),
+                        n,
+                    )
+                    .unwrap();
+                    let config = RunConfig::new(steps)
+                        .seed(steps ^ 0x9E37)
+                        .record_trace(true)
+                        .crashes(crashes);
+                    let fleet = |mem: &mut SharedMemory| -> Vec<Box<dyn Process>> {
+                        let r = mem.alloc(0);
+                        (0..n as u64)
+                            .map(|i| {
+                                Box::new(TickingProcess::new(r, 1 + i % 3)) as Box<dyn Process>
+                            })
+                            .collect()
+                    };
+                    let (mut mem_a, mut mem_b) = (SharedMemory::new(), SharedMemory::new());
+                    let (mut log_a, mut log_b) = (Log::default(), Log::default());
+                    let (mut sched_a, mut sched_b) = (build(), build());
+                    let name = sched_a.name();
+                    let a = run_hooked(
+                        &mut fleet(&mut mem_a),
+                        sched_a.as_mut(),
+                        &mut mem_a,
+                        &config,
+                        &mut log_a,
+                    );
+                    let b = run_per_step(
+                        &mut fleet(&mut mem_b),
+                        sched_b.as_mut(),
+                        &mut mem_b,
+                        &config,
+                        &mut log_b,
+                    );
+                    let case = format!("{name}, crashes {plan:?}, {steps} steps");
+                    assert_eq!(a.trace, b.trace, "{case}");
+                    assert_eq!(a.completions, b.completions, "{case}");
+                    assert_eq!(a.process_steps, b.process_steps, "{case}");
+                    assert_eq!(a.process_completions, b.process_completions, "{case}");
+                    assert_eq!(log_a.0, log_b.0, "{case}");
+                    assert_eq!(mem_a.steps(), steps, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -261,6 +261,13 @@ pub fn fold_word(h: u64, w: u64) -> u64 {
     h ^ (h >> 29)
 }
 
+/// Hashes a few words: [`fold_word`] from `seed`, then
+/// `pwf_rng::mix64`. The checker's per-step local fingerprint.
+#[inline]
+pub fn fold_words(seed: u64, words: &[u64]) -> u64 {
+    pwf_rng::mix64(words.iter().fold(seed, |h, &w| fold_word(h, w)))
+}
+
 /// Folds a slice of words into an FNV-1a hash, seeded with `seed` so
 /// fingerprints compose (`fnv1a(fnv1a(seed, a), b)` hashes `a ++ b`).
 pub fn fnv1a(seed: u64, words: &[u64]) -> u64 {

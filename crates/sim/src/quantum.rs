@@ -14,6 +14,7 @@
 //! process, otherwise pick uniformly. For `ε > 0` it is stochastic;
 //! `ε = 0` is the classic priority adversary.
 
+use pwf_rng::rngs::StdRng;
 use pwf_rng::Rng;
 
 use crate::process::ProcessId;
@@ -53,19 +54,13 @@ impl QuantumScheduler {
 }
 
 impl Scheduler for QuantumScheduler {
-    fn schedule(
-        &mut self,
-        _tau: u64,
-        active: &ActiveSet,
-        rng: &mut dyn pwf_rng::RngCore,
-    ) -> ProcessId {
+    fn schedule(&mut self, _tau: u64, active: &ActiveSet, rng: &mut StdRng) -> ProcessId {
         let must_switch = match self.current {
             Some(p) if active.is_active(p) => rng.gen_bool(self.switch_prob),
             _ => true,
         };
         if must_switch {
-            let k = rng.gen_range(0..active.active_count());
-            self.current = Some(active.select(k));
+            self.current = Some(active.pick_uniform(rng));
         }
         self.current.expect("just set")
     }
@@ -100,15 +95,9 @@ impl PriorityScheduler {
 }
 
 impl Scheduler for PriorityScheduler {
-    fn schedule(
-        &mut self,
-        _tau: u64,
-        active: &ActiveSet,
-        rng: &mut dyn pwf_rng::RngCore,
-    ) -> ProcessId {
+    fn schedule(&mut self, _tau: u64, active: &ActiveSet, rng: &mut StdRng) -> ProcessId {
         if self.epsilon > 0.0 && rng.gen_bool(self.epsilon) {
-            let k = rng.gen_range(0..active.active_count());
-            return active.select(k);
+            return active.pick_uniform(rng);
         }
         active.iter().next().expect("non-empty active set")
     }
@@ -125,7 +114,6 @@ impl Scheduler for PriorityScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwf_rng::rngs::StdRng;
     use pwf_rng::SeedableRng;
 
     fn rng() -> StdRng {

@@ -8,6 +8,8 @@
 //! against a modified algorithm to test a fix under the identical
 //! schedule.
 
+use pwf_rng::rngs::StdRng;
+
 use crate::process::ProcessId;
 use crate::scheduler::{ActiveSet, Scheduler};
 
@@ -39,12 +41,7 @@ impl ReplayScheduler {
 }
 
 impl Scheduler for ReplayScheduler {
-    fn schedule(
-        &mut self,
-        _tau: u64,
-        active: &ActiveSet,
-        _rng: &mut dyn pwf_rng::RngCore,
-    ) -> ProcessId {
+    fn schedule(&mut self, _tau: u64, active: &ActiveSet, _rng: &mut StdRng) -> ProcessId {
         assert!(
             self.pos < self.trace.len(),
             "replay trace exhausted: run no longer than the recorded execution"
@@ -75,6 +72,7 @@ mod tests {
     use crate::memory::SharedMemory;
     use crate::process::{Process, TickingProcess};
     use crate::scheduler::UniformScheduler;
+    use pwf_rng::SeedableRng;
 
     fn ticking(mem: &mut SharedMemory, n: usize) -> Vec<Box<dyn Process>> {
         let r = mem.alloc(0);
@@ -113,7 +111,7 @@ mod tests {
     fn remaining_counts_down() {
         let mut s = ReplayScheduler::new(vec![ProcessId::new(0), ProcessId::new(1)]);
         let active = ActiveSet::all(2);
-        let mut rng = pwf_rng::rngs::mock::StepRng::new(0, 1);
+        let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(s.remaining(), 2);
         let _ = s.schedule(1, &active, &mut rng);
         assert_eq!(s.remaining(), 1);
@@ -124,7 +122,7 @@ mod tests {
     fn overrunning_the_trace_panics() {
         let mut s = ReplayScheduler::new(vec![ProcessId::new(0)]);
         let active = ActiveSet::all(1);
-        let mut rng = pwf_rng::rngs::mock::StepRng::new(0, 1);
+        let mut rng = StdRng::seed_from_u64(0);
         let _ = s.schedule(1, &active, &mut rng);
         let _ = s.schedule(2, &active, &mut rng);
     }
@@ -135,7 +133,7 @@ mod tests {
         let mut s = ReplayScheduler::new(vec![ProcessId::new(0)]);
         let mut active = ActiveSet::all(2);
         active.crash(ProcessId::new(0));
-        let mut rng = pwf_rng::rngs::mock::StepRng::new(0, 1);
+        let mut rng = StdRng::seed_from_u64(0);
         let _ = s.schedule(1, &active, &mut rng);
     }
 }

@@ -25,7 +25,8 @@
 //! [`WeightedScheduler::with_linear_sampling`](crate::scheduler::WeightedScheduler::with_linear_sampling)
 //! and the distribution-agreement suite in `tests/sampler_properties.rs`.
 
-use pwf_rng::{Rng, RngCore};
+use pwf_rng::rngs::StdRng;
+use pwf_rng::{Rng, UniformBelow};
 
 use crate::process::ProcessId;
 use crate::scheduler::ActiveSet;
@@ -48,6 +49,8 @@ pub struct AliasTable {
     alias: Vec<u32>,
     /// The sampled values (process ids, here).
     support: Vec<ProcessId>,
+    /// Uniform slot indices in `[0, support.len())`.
+    slot: UniformBelow,
 }
 
 impl AliasTable {
@@ -100,6 +103,7 @@ impl AliasTable {
         AliasTable {
             accept,
             alias,
+            slot: UniformBelow::new(m as u64),
             support,
         }
     }
@@ -117,8 +121,8 @@ impl AliasTable {
 
     /// Draws one process: two RNG draws, two reads.
     #[inline]
-    pub fn sample(&self, rng: &mut dyn RngCore) -> ProcessId {
-        let k = rng.gen_range(0..self.len());
+    pub fn sample(&self, rng: &mut StdRng) -> ProcessId {
+        let k = self.slot.sample(rng) as usize;
         if rng.gen_f64() < self.accept[k] {
             self.support[k]
         } else {
@@ -169,12 +173,7 @@ impl ActiveAliasSampler {
     /// `weights` must cover every process id (the full `n`-sized
     /// vector the scheduler was built with) and be identical across
     /// calls; the sampler only reads the entries of active processes.
-    pub fn sample(
-        &mut self,
-        weights: &[f64],
-        active: &ActiveSet,
-        rng: &mut dyn RngCore,
-    ) -> ProcessId {
+    pub fn sample(&mut self, weights: &[f64], active: &ActiveSet, rng: &mut StdRng) -> ProcessId {
         let stale_count = match &self.table {
             None => true,
             // Rebuild once the active set has halved since the build:
@@ -211,7 +210,6 @@ impl ActiveAliasSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwf_rng::rngs::StdRng;
     use pwf_rng::SeedableRng;
 
     fn ids(ix: &[usize]) -> Vec<ProcessId> {

@@ -22,8 +22,14 @@
 //! * [`AdversarialScheduler`] — `θ = 0`: a scripted schedule encoded
 //!   into `Π_τ` as point masses (the paper's observation that any
 //!   classic adversary is the `θ = 0` special case).
+//!
+//! Schedulers draw from the executor's concrete [`StdRng`], so every
+//! draw inlines, and uniform picks go through
+//! [`ActiveSet::pick_uniform`], which divides once per crash, not once
+//! per step.
 
-use pwf_rng::Rng;
+use pwf_rng::rngs::StdRng;
+use pwf_rng::{Rng, UniformBelow};
 
 use crate::process::ProcessId;
 use crate::sampler::ActiveAliasSampler;
@@ -33,10 +39,12 @@ use crate::sampler::ActiveAliasSampler;
 ///
 /// Alongside the membership bitmap it maintains a **dense, sorted**
 /// list of active ids, so the k-th active process is one array read
-/// ([`select`](Self::select)) instead of an `O(n)` scan — the uniform
-/// scheduler's per-step cost. A generation counter increments on every
-/// effective crash, letting samplers cache epoch-scoped derived state
-/// (alias tables) and detect staleness in O(1).
+/// ([`select`](Self::select)) instead of an `O(n)` scan, and a
+/// [`UniformBelow`] for the active count, so a uniform rank costs no
+/// division ([`pick_uniform`](Self::pick_uniform)). A generation
+/// counter increments on every effective crash, letting samplers cache
+/// epoch-scoped derived state (alias tables) and detect staleness in
+/// O(1).
 #[derive(Debug, Clone)]
 pub struct ActiveSet {
     active: Vec<bool>,
@@ -44,6 +52,8 @@ pub struct ActiveSet {
     /// produced, so selection-by-rank is unchanged from the historical
     /// scan).
     ids: Vec<ProcessId>,
+    /// Uniform ranks in `[0, ids.len())`, rebuilt on every crash.
+    rank: UniformBelow,
     /// Bumped on every effective crash.
     generation: u64,
 }
@@ -59,6 +69,7 @@ impl ActiveSet {
         ActiveSet {
             active: vec![true; n],
             ids: (0..n).map(ProcessId::new).collect(),
+            rank: UniformBelow::new(n as u64),
             generation: 0,
         }
     }
@@ -99,6 +110,14 @@ impl ActiveSet {
         self.ids[k]
     }
 
+    /// A uniformly random active process (`γ_i = 1/|A_τ|`). Takes
+    /// exactly the draws of `select(rng.gen_range(0..active_count()))`
+    /// and returns the same process, without a division.
+    #[inline]
+    pub fn pick_uniform(&self, rng: &mut StdRng) -> ProcessId {
+        self.select(self.rank.sample(rng) as usize)
+    }
+
     /// Epoch counter: incremented on every effective crash. Samplers
     /// cache it to detect active-set change without diffing.
     pub fn generation(&self) -> u64 {
@@ -124,6 +143,7 @@ impl ActiveSet {
                 .binary_search(&p)
                 .expect("bitmap and id list agree");
             self.ids.remove(pos);
+            self.rank = UniformBelow::new(self.ids.len() as u64);
             self.generation += 1;
         }
     }
@@ -138,18 +158,15 @@ impl ActiveSet {
 ///
 /// The executor owns `A_τ` (crashes are part of the experiment
 /// configuration); the scheduler is handed the current active set and
-/// must return an active process.
+/// must return an active process. It never sees process state, so the
+/// executor may draw several picks before stepping any of them.
 pub trait Scheduler {
-    /// Chooses the process to schedule at time step `tau`.
+    /// Chooses the process to schedule at time step `tau`, drawing any
+    /// randomness from `rng`, the executor's seeded generator.
     ///
     /// Must return an active process (well-formedness: all probability
     /// mass on `A_τ`).
-    fn schedule(
-        &mut self,
-        tau: u64,
-        active: &ActiveSet,
-        rng: &mut dyn pwf_rng::RngCore,
-    ) -> ProcessId;
+    fn schedule(&mut self, tau: u64, active: &ActiveSet, rng: &mut StdRng) -> ProcessId;
 
     /// The probability threshold `θ` for `n` processes, assuming all
     /// are active. `0` means the scheduler is adversarial, not
@@ -182,14 +199,8 @@ impl UniformScheduler {
 }
 
 impl Scheduler for UniformScheduler {
-    fn schedule(
-        &mut self,
-        _tau: u64,
-        active: &ActiveSet,
-        rng: &mut dyn pwf_rng::RngCore,
-    ) -> ProcessId {
-        let k = rng.gen_range(0..active.active_count());
-        active.select(k)
+    fn schedule(&mut self, _tau: u64, active: &ActiveSet, rng: &mut StdRng) -> ProcessId {
+        active.pick_uniform(rng)
     }
 
     fn theta(&self, n: usize) -> f64 {
@@ -265,7 +276,7 @@ impl WeightedScheduler {
     /// `x < total`, e.g. under many `1e-300` weights and one `1.0`);
     /// the explicit last-active fallback makes that rounding case land
     /// on the final active process instead of falling off the loop.
-    pub fn pick_linear(&self, active: &ActiveSet, rng: &mut dyn pwf_rng::RngCore) -> ProcessId {
+    pub fn pick_linear(&self, active: &ActiveSet, rng: &mut StdRng) -> ProcessId {
         let total: f64 = active.iter().map(|p| self.weights[p.index()]).sum();
         let mut x = rng.gen_range(0.0..total);
         let mut last = None;
@@ -282,12 +293,7 @@ impl WeightedScheduler {
 }
 
 impl Scheduler for WeightedScheduler {
-    fn schedule(
-        &mut self,
-        _tau: u64,
-        active: &ActiveSet,
-        rng: &mut dyn pwf_rng::RngCore,
-    ) -> ProcessId {
+    fn schedule(&mut self, _tau: u64, active: &ActiveSet, rng: &mut StdRng) -> ProcessId {
         match &mut self.sampler {
             Some(s) => s.sample(&self.weights, active, rng),
             None => self.pick_linear(active, rng),
@@ -358,12 +364,7 @@ impl LotteryScheduler {
 }
 
 impl Scheduler for LotteryScheduler {
-    fn schedule(
-        &mut self,
-        tau: u64,
-        active: &ActiveSet,
-        rng: &mut dyn pwf_rng::RngCore,
-    ) -> ProcessId {
+    fn schedule(&mut self, tau: u64, active: &ActiveSet, rng: &mut StdRng) -> ProcessId {
         self.inner.schedule(tau, active, rng)
     }
 
@@ -412,19 +413,13 @@ impl MarkovScheduler {
 }
 
 impl Scheduler for MarkovScheduler {
-    fn schedule(
-        &mut self,
-        _tau: u64,
-        active: &ActiveSet,
-        rng: &mut dyn pwf_rng::RngCore,
-    ) -> ProcessId {
+    fn schedule(&mut self, _tau: u64, active: &ActiveSet, rng: &mut StdRng) -> ProcessId {
         if let Some(last) = self.last {
             if active.is_active(last) && rng.gen_bool(self.stickiness) {
                 return last;
             }
         }
-        let k = rng.gen_range(0..active.active_count());
-        let p = active.select(k);
+        let p = active.pick_uniform(rng);
         self.last = Some(p);
         p
     }
@@ -477,12 +472,7 @@ impl AdversarialScheduler {
 }
 
 impl Scheduler for AdversarialScheduler {
-    fn schedule(
-        &mut self,
-        _tau: u64,
-        active: &ActiveSet,
-        _rng: &mut dyn pwf_rng::RngCore,
-    ) -> ProcessId {
+    fn schedule(&mut self, _tau: u64, active: &ActiveSet, _rng: &mut StdRng) -> ProcessId {
         // Advance past crashed entries; guaranteed to terminate since
         // the active set is non-empty and we cycle the whole script.
         for _ in 0..self.script.len() {
@@ -509,11 +499,26 @@ impl Scheduler for AdversarialScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwf_rng::rngs::StdRng;
     use pwf_rng::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xC0FFEE)
+    }
+
+    #[test]
+    fn pick_uniform_matches_a_gen_range_rank_across_crashes() {
+        let mut active = ActiveSet::all(7);
+        let (mut a, mut b) = (rng(), rng());
+        for crash in [None, Some(3), Some(0), Some(6), Some(5)] {
+            if let Some(p) = crash {
+                active.crash(ProcessId::new(p));
+            }
+            for _ in 0..200 {
+                let k = b.gen_range(0..active.active_count());
+                assert_eq!(active.pick_uniform(&mut a), active.select(k));
+            }
+        }
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -28,6 +28,14 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo build --release (offline)"
 cargo build --release --offline --workspace
 
+echo "==> crate graph: pwf-serve links none of the runner, checker or linter"
+# The service builds its response bodies with pwf_obs::json; nothing in
+# its normal dependency tree may pull in the offline tooling crates.
+if cargo tree --offline -e normal -p pwf-serve | grep -E 'pwf-(runner|checker|lint) '; then
+    echo "ci.sh: pwf-serve depends on the crates above" >&2
+    exit 1
+fi
+
 echo "==> pwf check: deterministic experiments match their recorded results"
 # Re-runs every deterministic experiment under the golden seed and
 # diffs it against results/; exits nonzero on any drift. This is the

@@ -3,15 +3,10 @@
 //! `pwf list` shows the registered experiments, `pwf run --all
 //! --jobs N` regenerates `results/` in parallel, and `pwf check`
 //! diffs fresh deterministic runs against the recorded golden files.
-//! `pwf serve` starts the latency-prediction service (dispatched here
-//! because pwf-serve sits above the runner in the crate graph).
 //! See `pwf help` for the full option set.
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("serve") {
-        std::process::exit(pwf_serve::cli::main(argv[1..].to_vec()));
-    }
     let registry = pwf_bench::experiments::registry();
     std::process::exit(pwf_runner::cli::main(registry, argv));
 }

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use pwf_checker::explore::{explore, explore_recursive, ExploreOptions};
 use pwf_checker::targets::find;
-use pwf_runner::json::Json;
+use pwf_obs::json::Json;
 use pwf_runner::{fmt, ExpConfig, ExpResult, FnExperiment, ReportBuilder};
 
 /// The registered experiment.

@@ -24,7 +24,7 @@ use std::time::Instant;
 use pwf_algorithms::chains::scu;
 use pwf_core::chain_analysis::{analyze_exhaustive, ChainFamily};
 use pwf_markov::solve::{PowerOptions, SolveStats};
-use pwf_runner::json::Json;
+use pwf_obs::json::Json;
 use pwf_runner::{fmt, ExpConfig, ExpResult, FnExperiment, ReportBuilder};
 
 /// The registered experiment.

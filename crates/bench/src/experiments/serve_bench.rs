@@ -20,7 +20,7 @@
 
 use std::path::Path;
 
-use pwf_runner::json::Json;
+use pwf_obs::json::Json;
 use pwf_runner::{fmt, ExpConfig, ExpResult, FnExperiment, ReportBuilder};
 use pwf_serve::selftest::{bench_json, run as run_selftest, SelftestConfig};
 

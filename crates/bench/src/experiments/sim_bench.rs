@@ -20,9 +20,9 @@ use std::path::Path;
 use std::time::Instant;
 
 use pwf_core::spec::{AlgorithmSpec, SchedulerSpec};
+use pwf_obs::json::Json;
 use pwf_rng::rngs::StdRng;
 use pwf_rng::SeedableRng;
-use pwf_runner::json::Json;
 use pwf_runner::{fmt, ExpConfig, ExpResult, FnExperiment, ReportBuilder};
 use pwf_sim::executor::{run_into, Execution, NoHook, RunConfig, PICK_BLOCK};
 use pwf_sim::memory::SharedMemory;

@@ -98,6 +98,7 @@
 //! witness is chosen by schedule prefix
 //! ([`crate::audit::StateGraph::fair_livelock`]).
 
+use pwf_obs::json::Json;
 use pwf_rng::mix64;
 use pwf_sim::memory::{Access, SharedMemory};
 use pwf_sim::process::ProcessId;
@@ -225,34 +226,33 @@ impl ExploreReport {
     /// Wall times and the frontier's peak sizes are absent.
     pub fn deterministic_json(&self, target: &str) -> String {
         let s = &self.stats;
-        let violation = match &self.violation {
-            None => "null".to_string(),
-            Some(v) => {
-                let kind = match v.kind {
-                    ViolationKind::NotLinearizable => "not-linearizable",
-                    ViolationKind::Livelock => "livelock",
-                };
-                let sched: Vec<String> = v.schedule.iter().map(usize::to_string).collect();
-                format!("{{\"kind\":\"{kind}\",\"schedule\":[{}]}}", sched.join(","))
-            }
-        };
-        format!(
-            concat!(
-                "{{\"target\":\"{}\",\"stats\":{{",
-                "\"executions\":{},\"sleep_blocked\":{},\"transitions\":{},",
-                "\"distinct_states\":{},\"max_depth\":{},\"capped\":{},",
-                "\"units\":{}}},\"violation\":{}}}"
-            ),
-            target,
-            s.executions,
-            s.sleep_blocked,
-            s.transitions,
-            s.distinct_states,
-            s.max_depth,
-            s.capped,
-            s.units,
-            violation
-        )
+        let int = |v: u64| Json::Int(v.into());
+        let violation = self.violation.as_ref().map_or(Json::Null, |v| {
+            let kind = match v.kind {
+                ViolationKind::NotLinearizable => "not-linearizable",
+                ViolationKind::Livelock => "livelock",
+            };
+            let schedule = v.schedule.iter().map(|&p| Json::Int(p as i128)).collect();
+            Json::Obj(vec![
+                ("kind".into(), Json::Str(kind.into())),
+                ("schedule".into(), Json::Arr(schedule)),
+            ])
+        });
+        let stats = vec![
+            ("executions".into(), int(s.executions)),
+            ("sleep_blocked".into(), int(s.sleep_blocked)),
+            ("transitions".into(), int(s.transitions)),
+            ("distinct_states".into(), int(s.distinct_states)),
+            ("max_depth".into(), Json::Int(s.max_depth as i128)),
+            ("capped".into(), Json::Bool(s.capped)),
+            ("units".into(), int(s.units)),
+        ];
+        Json::Obj(vec![
+            ("target".into(), Json::Str(target.into())),
+            ("stats".into(), Json::Obj(stats)),
+            ("violation".into(), violation),
+        ])
+        .render_compact()
     }
 }
 

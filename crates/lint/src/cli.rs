@@ -114,7 +114,6 @@ pub fn main(argv: Vec<String>) -> i32 {
 /// Exports the summary counters through the pwf-obs metrics registry
 /// and prints its rendering — so `pwf lint -v` shows the same
 /// counters any metrics consumer would scrape.
-#[cfg(feature = "obs")]
 fn print_metrics(report: &crate::report::WorkspaceReport) {
     let metrics = pwf_obs::Metrics::new();
     crate::export_metrics(report, &metrics);
@@ -122,9 +121,6 @@ fn print_metrics(report: &crate::report::WorkspaceReport) {
         println!("{line}");
     }
 }
-
-#[cfg(not(feature = "obs"))]
-fn print_metrics(_report: &crate::report::WorkspaceReport) {}
 
 #[cfg(test)]
 mod tests {

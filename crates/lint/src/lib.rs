@@ -56,7 +56,6 @@ pub use report::{lint_tree, lint_workspace, CrateReport, Violation, WorkspaceRep
 /// `lint.stale_entries`.
 ///
 /// [`Metrics`]: pwf_obs::Metrics
-#[cfg(feature = "obs")]
 pub fn export_metrics(report: &WorkspaceReport, metrics: &pwf_obs::Metrics) {
     let t = report.totals();
     metrics.counter_add("lint.files_scanned", t.files as u64);

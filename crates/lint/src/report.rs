@@ -5,6 +5,8 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use pwf_obs::json::Json;
+
 use crate::allow::{parse_allow, AllowEntry};
 use crate::model::SourceModel;
 use crate::passes::{FileContext, Finding, Pass};
@@ -163,96 +165,81 @@ impl WorkspaceReport {
         out
     }
 
-    /// The `--json` document (schema pinned by
-    /// `crates/runner/tests/lint_schema.rs` through the runner's own
-    /// JSON parser).
+    /// The `--json` document: one line of JSON and a newline (schema
+    /// pinned by `crates/runner/tests/lint_schema.rs`).
     pub fn render_json(&self) -> String {
-        let mut crates = String::new();
-        for (i, c) in self.crates.iter().enumerate() {
-            if i > 0 {
-                crates.push(',');
-            }
-            let mut violations = String::new();
-            for (j, v) in c.violations.iter().enumerate() {
-                if j > 0 {
-                    violations.push(',');
-                }
-                let mismatch = match v.mismatch {
-                    Some((old, line)) => {
-                        format!(",\"expected_fingerprint\":\"{old:016x}\",\"entry_line\":{line}")
-                    }
-                    None => String::new(),
-                };
-                violations.push_str(&format!(
-                    "{{\"path\":{},\"line\":{},\"function\":{},\"rule\":{},\"message\":{},\"fingerprint\":\"{:016x}\"{mismatch}}}",
-                    json_str(&v.finding.path),
-                    v.finding.line,
-                    json_str(&v.finding.function),
-                    json_str(v.finding.rule),
-                    json_str(&v.finding.message),
-                    v.finding.fingerprint
-                ));
-            }
-            let mut stale = String::new();
-            for (j, s) in c.stale.iter().enumerate() {
-                if j > 0 {
-                    stale.push(',');
-                }
-                stale.push_str(&format!(
-                    "{{\"key\":{},\"line\":{}}}",
-                    json_str(&s.key),
-                    s.line
-                ));
-            }
-            crates.push_str(&format!(
-                "{{\"name\":{},\"files\":{},\"sites\":{},\"findings\":{},\"allowed\":{},\"violations\":[{violations}],\"stale\":[{stale}],\"clean\":{}}}",
-                json_str(&c.name),
-                c.files,
-                c.sites,
-                c.findings,
-                c.allowed,
-                c.clean()
-            ));
-        }
-        let t = self.totals();
-        let passes = self
-            .passes
+        let int = |v: usize| Json::Int(v as i128);
+        let hex = |fingerprint: u64| Json::Str(format!("{fingerprint:016x}"));
+        let crates = self
+            .crates
             .iter()
-            .map(|p| json_str(p))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"tool\":\"pwf-lint\",\"schema_version\":1,\"root\":{},\"passes\":[{passes}],\"crates\":[{crates}],\"summary\":{{\"crates\":{},\"files\":{},\"sites\":{},\"findings\":{},\"allowed\":{},\"violations\":{},\"stale\":{},\"clean\":{}}}}}\n",
-            json_str(&self.root),
-            self.crates.len(),
-            t.files,
-            t.sites,
-            t.findings,
-            t.allowed,
-            t.violations,
-            t.stale,
-            self.clean()
-        )
+            .map(|c| {
+                let violations = c
+                    .violations
+                    .iter()
+                    .map(|v| {
+                        let f = &v.finding;
+                        let mut fields = vec![
+                            ("path".into(), Json::Str(f.path.clone())),
+                            ("line".into(), int(f.line)),
+                            ("function".into(), Json::Str(f.function.clone())),
+                            ("rule".into(), Json::Str(f.rule.into())),
+                            ("message".into(), Json::Str(f.message.clone())),
+                            ("fingerprint".into(), hex(f.fingerprint)),
+                        ];
+                        if let Some((old, line)) = v.mismatch {
+                            fields.push(("expected_fingerprint".into(), hex(old)));
+                            fields.push(("entry_line".into(), int(line)));
+                        }
+                        Json::Obj(fields)
+                    })
+                    .collect();
+                let stale = c
+                    .stale
+                    .iter()
+                    .map(|s| {
+                        Json::Obj(vec![
+                            ("key".into(), Json::Str(s.key.clone())),
+                            ("line".into(), int(s.line)),
+                        ])
+                    })
+                    .collect();
+                Json::Obj(vec![
+                    ("name".into(), Json::Str(c.name.clone())),
+                    ("files".into(), int(c.files)),
+                    ("sites".into(), int(c.sites)),
+                    ("findings".into(), int(c.findings)),
+                    ("allowed".into(), int(c.allowed)),
+                    ("violations".into(), Json::Arr(violations)),
+                    ("stale".into(), Json::Arr(stale)),
+                    ("clean".into(), Json::Bool(c.clean())),
+                ])
+            })
+            .collect();
+        let t = self.totals();
+        let passes = self.passes.iter().map(|p| Json::Str((*p).into())).collect();
+        let summary = vec![
+            ("crates".into(), int(self.crates.len())),
+            ("files".into(), int(t.files)),
+            ("sites".into(), int(t.sites)),
+            ("findings".into(), int(t.findings)),
+            ("allowed".into(), int(t.allowed)),
+            ("violations".into(), int(t.violations)),
+            ("stale".into(), int(t.stale)),
+            ("clean".into(), Json::Bool(self.clean())),
+        ];
+        let mut doc = Json::Obj(vec![
+            ("tool".into(), Json::Str("pwf-lint".into())),
+            ("schema_version".into(), Json::Int(1)),
+            ("root".into(), Json::Str(self.root.clone())),
+            ("passes".into(), Json::Arr(passes)),
+            ("crates".into(), Json::Arr(crates)),
+            ("summary".into(), Json::Obj(summary)),
+        ])
+        .render_compact();
+        doc.push('\n');
+        doc
     }
-}
-
-/// JSON string literal with escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Lints one source tree against one (optional) allow file.

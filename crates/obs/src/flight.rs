@@ -18,9 +18,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::event::Event;
-use crate::jsonfmt::{json_number, json_string};
+use crate::json::Json;
 use crate::metrics::MetricsSnapshot;
-use crate::perfetto::trace_json;
+use crate::perfetto::{trace_json, trace_value};
 use crate::watchdog::{Offender, WatchdogReport};
 
 /// Default number of trailing events kept per thread in a dump.
@@ -95,57 +95,60 @@ impl FlightDump {
 
     /// The embedded Perfetto/Chrome trace for the captured events.
     pub fn perfetto_json(&self) -> String {
-        trace_json(
-            &self.events,
-            &format!("flight: {}", self.reason),
-            self.ticks_per_us,
-        )
+        trace_json(&self.events, &self.process_name(), self.ticks_per_us)
     }
 
-    /// Serializes the dump as one JSON document (the flight-dump
+    fn process_name(&self) -> String {
+        format!("flight: {}", self.reason)
+    }
+
+    /// Serializes the dump as one line of JSON (the flight-dump
     /// schema pinned in DESIGN.md "Telemetry verdicts").
     pub fn to_json(&self) -> String {
-        let offenders: Vec<String> = self
+        let offenders = self
             .offenders
             .iter()
             .map(|o| {
-                format!(
-                    "{{\"thread\":{},\"op\":{},\"value\":{}}}",
-                    o.thread, o.op, o.value
-                )
+                Json::Obj(vec![
+                    ("thread".into(), Json::Int(o.thread.into())),
+                    ("op".into(), Json::Int(o.op.into())),
+                    ("value".into(), Json::Int(o.value.into())),
+                ])
             })
             .collect();
-        let events: Vec<String> = self
+        let events = self
             .events
             .iter()
             .map(|e| {
-                format!(
-                    "{{\"ticket\":{},\"tick\":{},\"thread\":{},\"kind\":{},\"arg\":{}}}",
-                    e.ticket,
-                    e.tick,
-                    e.thread,
-                    json_string(e.kind.name()),
-                    e.arg
-                )
+                Json::Obj(vec![
+                    ("ticket".into(), Json::Int(e.ticket.into())),
+                    ("tick".into(), Json::Int(e.tick.into())),
+                    ("thread".into(), Json::Int(e.thread.into())),
+                    ("kind".into(), Json::Str(e.kind.name().into())),
+                    ("arg".into(), Json::Int(e.arg.into())),
+                ])
             })
             .collect();
-        let metrics = match &self.metrics {
-            None => "null".to_string(),
-            Some(snap) => metrics_json(snap),
-        };
-        format!(
-            "{{\"reason\":{},\"threshold\":{},\"observed\":{},\"exceeded\":{},\"per_thread_kept\":{},\"ticks_per_us\":{},\"offenders\":[{}],\"events\":[{}],\"metrics\":{},\"trace\":{}}}",
-            json_string(&self.reason),
-            self.threshold,
-            self.observed,
-            self.exceeded,
-            self.per_thread_kept,
-            json_number(self.ticks_per_us),
-            offenders.join(","),
-            events.join(","),
-            metrics,
-            self.perfetto_json(),
-        )
+        let trace = trace_value(&self.events, &self.process_name(), self.ticks_per_us);
+        Json::Obj(vec![
+            ("reason".into(), Json::Str(self.reason.clone())),
+            ("threshold".into(), Json::Int(self.threshold.into())),
+            ("observed".into(), Json::Int(self.observed.into())),
+            ("exceeded".into(), Json::Int(self.exceeded.into())),
+            (
+                "per_thread_kept".into(),
+                Json::Int(self.per_thread_kept as i128),
+            ),
+            ("ticks_per_us".into(), Json::number(self.ticks_per_us)),
+            ("offenders".into(), Json::Arr(offenders)),
+            ("events".into(), Json::Arr(events)),
+            (
+                "metrics".into(),
+                self.metrics.as_ref().map_or(Json::Null, metrics_json),
+            ),
+            ("trace".into(), trace),
+        ])
+        .render_compact()
     }
 
     /// Writes the dump into `dir` as `<slug>-<seq>.json` (creating the
@@ -182,41 +185,40 @@ impl FlightDump {
     }
 }
 
-fn metrics_json(snap: &MetricsSnapshot) -> String {
-    let counters: Vec<String> = snap
+fn metrics_json(snap: &MetricsSnapshot) -> Json {
+    let counters = snap
         .counters
         .iter()
-        .map(|(name, v)| format!("{}:{}", json_string(name), v))
+        .map(|(name, v)| (name.clone(), Json::Int((*v).into())))
         .collect();
-    let gauges: Vec<String> = snap
+    let gauges = snap
         .gauges
         .iter()
-        .map(|(name, v)| format!("{}:{}", json_string(name), json_number(*v)))
+        .map(|(name, v)| (name.clone(), Json::number(*v)))
         .collect();
-    let hists: Vec<String> = snap
+    let hists = snap
         .histograms
         .iter()
         .map(|(name, s)| {
-            format!(
-                "{}:{{\"count\":{},\"mean\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}",
-                json_string(name),
-                s.count,
-                json_number(s.mean),
-                s.min,
-                s.max,
-                s.p50,
-                s.p90,
-                s.p99,
-                s.p999
-            )
+            let int = |v: u64| Json::Int(v.into());
+            let summary = vec![
+                ("count".into(), int(s.count)),
+                ("mean".into(), Json::number(s.mean)),
+                ("min".into(), int(s.min)),
+                ("max".into(), int(s.max)),
+                ("p50".into(), int(s.p50)),
+                ("p90".into(), int(s.p90)),
+                ("p99".into(), int(s.p99)),
+                ("p999".into(), int(s.p999)),
+            ];
+            (name.clone(), Json::Obj(summary))
         })
         .collect();
-    format!(
-        "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
-        counters.join(","),
-        gauges.join(","),
-        hists.join(",")
-    )
+    Json::Obj(vec![
+        ("counters".into(), Json::Obj(counters)),
+        ("gauges".into(), Json::Obj(gauges)),
+        ("histograms".into(), Json::Obj(hists)),
+    ])
 }
 
 #[cfg(test)]
@@ -284,6 +286,36 @@ mod tests {
         // The embedded Perfetto trace rides along, replayable as-is.
         assert!(json.contains("\"trace\":{\"traceEvents\":["));
         assert!(dump.perfetto_json().contains("\"ph\":\"X\""));
+
+        // The whole document, with a gauge and a histogram added.
+        m.gauge_set("load", 0.25);
+        for v in [3, 5, 900] {
+            m.record("lat_us", v);
+        }
+        let dump = FlightDump {
+            metrics: Some(m.snapshot()),
+            ..dump
+        };
+        assert_eq!(
+            dump.to_json(),
+            concat!(
+                r#"{"reason":"slo breach","threshold":10,"observed":5,"exceeded":5,"#,
+                r#""per_thread_kept":256,"ticks_per_us":1,"offenders":["#,
+                r#"{"thread":1,"op":4,"value":104},{"thread":1,"op":3,"value":103},"#,
+                r#"{"thread":1,"op":2,"value":102},{"thread":1,"op":1,"value":101},"#,
+                r#"{"thread":1,"op":0,"value":100}],"events":["#,
+                r#"{"ticket":0,"tick":0,"thread":1,"kind":"op_start","arg":0},"#,
+                r#"{"ticket":1,"tick":10,"thread":1,"kind":"op_end","arg":0}],"#,
+                r#""metrics":{"counters":{"ops":7},"gauges":{"load":0.25},"#,
+                r#""histograms":{"lat_us":{"count":3,"mean":302.6666666666667,"min":3,"#,
+                r#""max":900,"p50":6,"p90":928,"p99":928,"p999":928}}},"#,
+                r#""trace":{"traceEvents":[{"name":"process_name","ph":"M","pid":1,"#,
+                r#""tid":0,"args":{"name":"flight: slo breach"}},{"name":"thread_name","#,
+                r#""ph":"M","pid":1,"tid":1,"args":{"name":"thread 1"}},{"name":"op:0","#,
+                r#""ph":"X","pid":1,"tid":1,"ts":0,"dur":10,"args":{"tag":0,"#,
+                r#""retries":0}}],"displayTimeUnit":"ns"}}"#
+            )
+        );
     }
 
     #[test]

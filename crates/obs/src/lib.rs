@@ -13,6 +13,10 @@
 //!   aggregation points.
 //! - [`perfetto`]: Chrome trace-event JSON export, loadable in
 //!   Perfetto or `chrome://tracing`.
+//! - [`json`]: the workspace's one JSON value type, writer (indented
+//!   or single-line) and parser. Every crate that writes or reads JSON
+//!   uses it, so escaping, number spelling and non-finite handling are
+//!   decided once.
 //! - [`watchdog`] / [`flight`]: the verdict layer — a streaming tail
 //!   watchdog armed with the theory's quantile envelope, and a flight
 //!   recorder that snapshots rings + metrics into a replayable dump
@@ -28,7 +32,7 @@
 pub mod event;
 pub mod flight;
 pub mod hist;
-mod jsonfmt;
+pub mod json;
 pub mod metrics;
 pub mod perfetto;
 pub mod ring;

@@ -14,33 +14,32 @@
 use std::collections::BTreeMap;
 
 use crate::event::{Event, EventKind};
-use crate::jsonfmt::{json_number, json_string};
+use crate::json::Json;
 
-/// Serializes events as Chrome trace-event JSON.
+/// Serializes events as Chrome trace-event JSON, on one line.
 ///
 /// `ticks_per_us` converts the events' `tick` unit into microseconds
 /// (the format's `ts` unit): pass `1.0` when ticks are already µs,
 /// `1000.0` when they are nanoseconds, or any scale that keeps the
 /// trace readable for unitless simulator steps.
 pub fn trace_json(events: &[Event], process_name: &str, ticks_per_us: f64) -> String {
+    trace_value(events, process_name, ticks_per_us).render_compact()
+}
+
+/// The [`trace_json`] document as a value, for embedding whole in a
+/// flight dump.
+pub(crate) fn trace_value(events: &[Event], process_name: &str, ticks_per_us: f64) -> Json {
     let scale = if ticks_per_us > 0.0 {
         ticks_per_us
     } else {
         1.0
     };
-    let mut out = Vec::new();
-
-    out.push(format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{{\"name\":{}}}}}",
-        json_string(process_name)
-    ));
+    let mut out = vec![metadata("process_name", 0, process_name)];
     let mut threads: Vec<u32> = events.iter().map(|e| e.thread).collect();
     threads.sort_unstable();
     threads.dedup();
-    for t in &threads {
-        out.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{t},\"args\":{{\"name\":\"thread {t}\"}}}}"
-        ));
+    for t in threads {
+        out.push(metadata("thread_name", t, &format!("thread {t}")));
     }
 
     // Per-thread stacks of open OpStart events, matched LIFO so nested
@@ -66,37 +65,58 @@ pub fn trace_json(events: &[Event], process_name: &str, ticks_per_us: f64) -> St
         }
     }
 
-    format!(
-        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ns\"}}",
-        out.join(",")
-    )
+    Json::Obj(vec![
+        ("traceEvents".into(), Json::Arr(out)),
+        ("displayTimeUnit".into(), Json::Str("ns".into())),
+    ])
 }
 
-fn ts(tick: u64, scale: f64) -> f64 {
-    tick as f64 / scale
+fn ts(tick: u64, scale: f64) -> Json {
+    Json::number(tick as f64 / scale)
 }
 
-fn complete_event(start: &Event, end: &Event, scale: f64) -> String {
-    let dur = ts(end.tick.saturating_sub(start.tick), scale);
-    format!(
-        "{{\"name\":\"op:{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"tag\":{},\"retries\":{}}}}}",
-        start.arg,
-        start.thread,
-        json_number(ts(start.tick, scale)),
-        json_number(dur),
-        start.arg,
-        end.arg
-    )
+fn metadata(name: &str, thread: u32, value: &str) -> Json {
+    Json::Obj(vec![
+        ("name".into(), Json::Str(name.into())),
+        ("ph".into(), Json::Str("M".into())),
+        ("pid".into(), Json::Int(1)),
+        ("tid".into(), Json::Int(thread.into())),
+        (
+            "args".into(),
+            Json::Obj(vec![("name".into(), Json::Str(value.into()))]),
+        ),
+    ])
 }
 
-fn instant_event(e: &Event, scale: f64) -> String {
-    format!(
-        "{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{},\"args\":{{\"arg\":{}}}}}",
-        json_string(e.kind.name()),
-        e.thread,
-        json_number(ts(e.tick, scale)),
-        e.arg
-    )
+fn complete_event(start: &Event, end: &Event, scale: f64) -> Json {
+    let args = vec![
+        ("tag".into(), Json::Int(start.arg.into())),
+        ("retries".into(), Json::Int(end.arg.into())),
+    ];
+    Json::Obj(vec![
+        ("name".into(), Json::Str(format!("op:{}", start.arg))),
+        ("ph".into(), Json::Str("X".into())),
+        ("pid".into(), Json::Int(1)),
+        ("tid".into(), Json::Int(start.thread.into())),
+        ("ts".into(), ts(start.tick, scale)),
+        ("dur".into(), ts(end.tick.saturating_sub(start.tick), scale)),
+        ("args".into(), Json::Obj(args)),
+    ])
+}
+
+fn instant_event(e: &Event, scale: f64) -> Json {
+    Json::Obj(vec![
+        ("name".into(), Json::Str(e.kind.name().into())),
+        ("ph".into(), Json::Str("i".into())),
+        ("s".into(), Json::Str("t".into())),
+        ("pid".into(), Json::Int(1)),
+        ("tid".into(), Json::Int(e.thread.into())),
+        ("ts".into(), ts(e.tick, scale)),
+        (
+            "args".into(),
+            Json::Obj(vec![("arg".into(), Json::Int(e.arg.into()))]),
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -127,6 +147,17 @@ mod tests {
         assert!(json.contains("\"retries\":2"));
         assert!(json.contains("\"name\":\"cas_fail\""));
         assert!(json.contains("\"displayTimeUnit\":\"ns\""));
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"traceEvents":[{"name":"process_name","ph":"M","pid":1,"tid":0,"#,
+                r#""args":{"name":"demo"}},{"name":"thread_name","ph":"M","pid":1,"#,
+                r#""tid":1,"args":{"name":"thread 1"}},{"name":"cas_fail","ph":"i","#,
+                r#""s":"t","pid":1,"tid":1,"ts":150,"args":{"arg":1}},{"name":"op:7","#,
+                r#""ph":"X","pid":1,"tid":1,"ts":100,"dur":100,"args":{"tag":7,"#,
+                r#""retries":2}}],"displayTimeUnit":"ns"}"#
+            )
+        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The `pwf` command-line front end: `list`, `run`, `check`, `trace`.
+//! The `pwf` command-line front end: `list`, `run`, `check`, `trace`
+//! here, and `vet`, `lint`, `serve` and `report` handed to their crates.
 //!
 //! The binary itself lives in `pwf-bench` (which owns the experiment
 //! registrations); it delegates straight here:
@@ -13,8 +14,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use pwf_obs::json::Json;
+
 use crate::check::check_report;
-use crate::json::Json;
 use crate::orchestrator::{run_experiments, ExpOutcome, RunOptions, RunSummary};
 use crate::registry::Registry;
 use crate::text::{fmt, render};
@@ -163,16 +165,15 @@ fn parse_args(mut argv: Vec<String>) -> Result<Args, String> {
 /// Entry point. Returns the process exit code: 0 success, 1 failures
 /// or drift, 2 usage errors.
 pub fn main(registry: Registry, argv: Vec<String>) -> i32 {
-    // `vet` and `lint` own their own flag grammars; hand them the raw
+    // These subcommands own their own flag grammars; hand them the raw
     // argv before the experiment-runner flags are parsed.
-    if argv.first().map(String::as_str) == Some("vet") {
-        return pwf_checker::cli::main(argv[1..].to_vec());
-    }
-    if argv.first().map(String::as_str) == Some("lint") {
-        return pwf_lint::cli::main(argv[1..].to_vec());
-    }
-    if argv.first().map(String::as_str) == Some("report") {
-        return crate::trend::cli_main(argv[1..].to_vec());
+    let rest = || argv[1..].to_vec();
+    match argv.first().map(String::as_str) {
+        Some("vet") => return pwf_checker::cli::main(rest()),
+        Some("lint") => return pwf_lint::cli::main(rest()),
+        Some("serve") => return pwf_serve::cli::main(rest()),
+        Some("report") => return crate::trend::cli_main(rest()),
+        _ => {}
     }
     let args = match parse_args(argv) {
         Ok(args) => args,

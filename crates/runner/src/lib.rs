@@ -20,12 +20,11 @@
 //! * [`text`] — the aligned-column renderer (byte-compatible with the
 //!   historical `results/*.txt` stdout format) and the shared
 //!   `note`/`fmt`/`row`/`header` helpers the binaries use;
-//! * [`json`] — a zero-dependency JSON writer/parser for
-//!   `results/json/` reports and the `BENCH_runner.json` timing
-//!   trajectory;
 //! * [`check`] — golden-file regression: fresh runs diffed against
 //!   recorded `results/*.txt`, first divergence reported;
-//! * [`cli`] — the `pwf list | run | check` command-line front end.
+//! * [`cli`] — the `pwf` command-line front end: `list | run | check |
+//!   trace` here, and one table dispatching `vet`, `lint`, `serve` and
+//!   `report` to their crates.
 //!
 //! The crate knows nothing about the paper: experiments are injected
 //! by `pwf-bench`, which registers all twenty binaries' bodies.
@@ -36,7 +35,6 @@
 pub mod check;
 pub mod cli;
 pub mod config;
-pub mod json;
 pub mod orchestrator;
 pub mod par;
 pub mod registry;

@@ -7,6 +7,8 @@
 //! with `results/*.txt`), serialized to JSON, or diffed against a
 //! golden file.
 
+use pwf_obs::json::Json;
+
 /// One unit of experiment output, in emission order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Block {
@@ -65,6 +67,91 @@ impl Report {
             && self.seed == other.seed
             && self.params == other.params
             && self.blocks == other.blocks
+    }
+
+    /// Serializes the report (metadata and all blocks).
+    pub fn to_json(&self) -> Json {
+        let params = self
+            .params
+            .iter()
+            .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+            .collect();
+        let blocks = self
+            .blocks
+            .iter()
+            .map(|b| match b {
+                Block::Note(text) => Json::Obj(vec![("note".into(), Json::Str(text.clone()))]),
+                Block::Row(cells) => Json::Obj(vec![(
+                    "row".into(),
+                    Json::Arr(cells.iter().map(|c| Json::Str(c.clone())).collect()),
+                )]),
+                Block::Raw(line) => Json::Obj(vec![("raw".into(), Json::Str(line.clone()))]),
+            })
+            .collect();
+        Json::Obj(vec![
+            ("name".into(), Json::Str(self.name.clone())),
+            ("seed".into(), Json::Int(self.seed as i128)),
+            ("wall_time_ms".into(), Json::Num(self.wall_time_ms)),
+            ("params".into(), Json::Obj(params)),
+            ("blocks".into(), Json::Arr(blocks)),
+        ])
+    }
+
+    /// Deserializes a report produced by [`to_json`](Report::to_json).
+    pub fn from_json(value: &Json) -> Result<Report, String> {
+        let name = value
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or("missing name")?
+            .to_string();
+        let seed = value
+            .get("seed")
+            .and_then(Json::as_u64)
+            .ok_or("missing seed")?;
+        let wall_time_ms = value
+            .get("wall_time_ms")
+            .and_then(Json::as_f64)
+            .ok_or("missing wall_time_ms")?;
+        let params = match value.get("params") {
+            Some(Json::Obj(fields)) => fields
+                .iter()
+                .map(|(k, v)| {
+                    v.as_str()
+                        .map(|s| (k.clone(), s.to_string()))
+                        .ok_or_else(|| format!("param {k:?} is not a string"))
+                })
+                .collect::<Result<Vec<_>, _>>()?,
+            _ => return Err("missing params".into()),
+        };
+        let blocks = value
+            .get("blocks")
+            .and_then(Json::as_array)
+            .ok_or("missing blocks")?
+            .iter()
+            .map(|b| {
+                if let Some(text) = b.get("note").and_then(Json::as_str) {
+                    Ok(Block::Note(text.to_string()))
+                } else if let Some(cells) = b.get("row").and_then(Json::as_array) {
+                    cells
+                        .iter()
+                        .map(|c| c.as_str().map(String::from).ok_or("row cell not a string"))
+                        .collect::<Result<Vec<_>, _>>()
+                        .map(Block::Row)
+                        .map_err(String::from)
+                } else if let Some(line) = b.get("raw").and_then(Json::as_str) {
+                    Ok(Block::Raw(line.to_string()))
+                } else {
+                    Err("unknown block shape".to_string())
+                }
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Report {
+            name,
+            seed,
+            wall_time_ms,
+            params,
+            blocks,
+        })
     }
 }
 
@@ -178,5 +265,19 @@ mod tests {
         assert_eq!(r.param("profile"), Some("full"));
         assert_eq!(r.param("n"), Some("8"));
         assert_eq!(r.param("missing"), None);
+    }
+
+    #[test]
+    fn report_round_trips_through_json() {
+        let mut b = ReportBuilder::new("exp_demo", u64::MAX - 3);
+        b.param("profile", "full");
+        b.note("line one\nline two");
+        b.header(&["n", "W"]);
+        b.row(&["4".into(), "1.9952".into()]);
+        b.raw("  (0,0)  pi=0.15");
+        let report = b.finish(12.5);
+        let json = report.to_json();
+        let back = Report::from_json(&Json::parse(&json.render()).unwrap()).unwrap();
+        assert_eq!(back, report);
     }
 }

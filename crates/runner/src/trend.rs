@@ -19,7 +19,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::json::Json;
+use pwf_obs::json::Json;
+
 use crate::text::fmt;
 
 /// Usage text for `pwf report --help`.
@@ -224,33 +225,24 @@ pub fn load_history(path: &Path) -> Result<Vec<HistoryEntry>, String> {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders one history entry as a single JSONL line (no trailing
-/// newline). `f64` metrics print in Rust's shortest round-trip form.
+/// newline). Metrics print as [`Json::number`] spells them: integral
+/// values as integers, others in Rust's shortest round-trip form.
 pub fn history_line(entry: &HistoryEntry) -> String {
-    let metrics: Vec<String> = entry
+    let metrics = entry
         .metrics
         .iter()
-        .map(|(name, value)| format!("\"{}\":{}", json_escape(name), value))
+        .map(|(name, value)| (name.clone(), Json::number(*value)))
         .collect();
-    format!(
-        "{{\"seq\":{},\"recorded_unix_ms\":{},\"metrics\":{{{}}}}}",
-        entry.seq,
-        entry.recorded_unix_ms,
-        metrics.join(",")
-    )
+    Json::Obj(vec![
+        ("seq".into(), Json::Int(entry.seq.into())),
+        (
+            "recorded_unix_ms".into(),
+            Json::Int(entry.recorded_unix_ms.into()),
+        ),
+        ("metrics".into(), Json::Obj(metrics)),
+    ])
+    .render_compact()
 }
 
 /// Appends one entry to the history file, creating parent directories
@@ -656,7 +648,10 @@ mod tests {
                 .collect(),
         };
         let line = history_line(&entry);
-        assert!(!line.contains('\n'));
+        assert_eq!(
+            line,
+            r#"{"seq":3,"recorded_unix_ms":1700,"metrics":{"a.b":1.5,"c":2}}"#
+        );
         let parsed = parse_history(&line).unwrap();
         assert_eq!(parsed, vec![entry]);
     }

@@ -4,8 +4,8 @@
 
 use std::sync::Arc;
 
+use pwf_obs::json::Json;
 use pwf_rng::RngCore;
-use pwf_runner::json::Json;
 use pwf_runner::{
     check_report, check_text, render, run_experiments, Drift, ExpConfig, ExpOutcome, ExpResult,
     FnExperiment, Registry, ReportBuilder, RunOptions,

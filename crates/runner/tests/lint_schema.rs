@@ -1,13 +1,13 @@
-//! Schema pin for `pwf lint --json`, using the runner's own JSON
-//! parser: the document must parse as standard JSON and carry exactly
-//! the fields downstream tooling (ci.sh, dashboards) keys on. A field
-//! rename or type change in pwf-lint's hand-rolled renderer fails
+//! Schema pin for `pwf lint --json`, using the workspace's JSON parser
+//! (`pwf_obs::json`): the document must parse as standard JSON and
+//! carry exactly the fields downstream tooling (ci.sh, dashboards)
+//! keys on. A field rename or type change in pwf-lint's renderer fails
 //! here before it breaks a consumer.
 
 use std::path::Path;
 
 use pwf_lint::{lint_workspace, Pass};
-use pwf_runner::json::Json;
+use pwf_obs::json::Json;
 
 #[test]
 fn lint_json_parses_and_matches_the_pinned_schema() {
@@ -18,6 +18,8 @@ fn lint_json_parses_and_matches_the_pinned_schema() {
     let report = lint_workspace(&root, &Pass::ALL, &[]).expect("workspace scan succeeds");
     let doc = report.render_json();
     let json = Json::parse(&doc).expect("lint --json must be valid JSON");
+    // The whole document is its own value in the single-line layout.
+    assert_eq!(doc, format!("{}\n", json.render_compact()));
 
     // Envelope.
     assert_eq!(json.get("tool").and_then(Json::as_str), Some("pwf-lint"));
@@ -140,6 +142,44 @@ fn golden_shape_is_stable_for_a_dirty_single_crate_report() {
         "\"stale\":[{\"key\":\"lib.rs:gone:seqcst\",\"line\":9}],\"clean\":false}],",
         "\"summary\":{\"crates\":1,\"files\":1,\"sites\":2,\"findings\":2,",
         "\"allowed\":1,\"violations\":1,\"stale\":1,\"clean\":false}}\n"
+    );
+    assert_eq!(report.render_json(), expected);
+
+    // A second crate, clean, and a violation without the mismatch
+    // extension.
+    let mut report = report;
+    let mut plain = report.crates[0].violations[0].clone();
+    plain.mismatch = None;
+    plain.finding.line = 12;
+    plain.finding.message = "tab\there \"quoted\"".to_string();
+    report.crates[0].violations.push(plain);
+    report.crates.push(CrateReport {
+        name: "tidy".to_string(),
+        allow_path: None,
+        files: 3,
+        sites: 0,
+        findings: 0,
+        violations: vec![],
+        allowed: 0,
+        stale: vec![],
+        allow_error: None,
+    });
+    let expected = concat!(
+        "{\"tool\":\"pwf-lint\",\"schema_version\":1,\"root\":\"/ws\",",
+        "\"passes\":[\"orderings\"],\"crates\":[",
+        "{\"name\":\"demo\",\"files\":1,\"sites\":2,\"findings\":2,\"allowed\":1,",
+        "\"violations\":[{\"path\":\"crates/demo/src/lib.rs\",\"line\":4,",
+        "\"function\":\"f\",\"rule\":\"seqcst\",\"message\":\"load uses SeqCst\",",
+        "\"fingerprint\":\"00000000deadbeef\",",
+        "\"expected_fingerprint\":\"000000000000cafe\",\"entry_line\":7},",
+        "{\"path\":\"crates/demo/src/lib.rs\",\"line\":12,\"function\":\"f\",",
+        "\"rule\":\"seqcst\",\"message\":\"tab\\there \\\"quoted\\\"\",",
+        "\"fingerprint\":\"00000000deadbeef\"}],",
+        "\"stale\":[{\"key\":\"lib.rs:gone:seqcst\",\"line\":9}],\"clean\":false},",
+        "{\"name\":\"tidy\",\"files\":3,\"sites\":0,\"findings\":0,\"allowed\":0,",
+        "\"violations\":[],\"stale\":[],\"clean\":true}],",
+        "\"summary\":{\"crates\":2,\"files\":4,\"sites\":2,\"findings\":2,",
+        "\"allowed\":1,\"violations\":2,\"stale\":1,\"clean\":false}}\n"
     );
     assert_eq!(report.render_json(), expected);
 }

@@ -1,10 +1,10 @@
-//! Schema-shape validation of the Perfetto export, using the runner's
-//! own JSON parser: the trace document `pwf trace` writes must parse
+//! Schema-shape validation of the Perfetto export, using the
+//! workspace's JSON parser (`pwf_obs::json`): the trace document `pwf trace` writes must parse
 //! as standard JSON and carry exactly the Chrome trace-event fields
 //! Perfetto and `chrome://tracing` require.
 
+use pwf_obs::json::Json;
 use pwf_obs::{trace_json, Event, EventKind};
-use pwf_runner::json::Json;
 
 fn ev(ticket: u64, tick: u64, thread: u32, kind: EventKind, arg: u64) -> Event {
     Event {

@@ -21,7 +21,7 @@
 
 use pwf_core::chain_analysis::{analyze, ChainFamily};
 use pwf_core::{AlgorithmSpec, SimExperiment};
-use pwf_runner::json::Json;
+use pwf_obs::json::Json;
 use pwf_theory::bounds::{fai_system_latency_bound, ScuPrediction};
 
 /// Hard cap on `n` (largest value any layer accepts).

@@ -21,9 +21,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use pwf_obs::json::Json;
 use pwf_obs::{Histogram, LatencySummary, ObsHandle};
 use pwf_rng::{SeedableRng, Xoshiro256PlusPlus, Zipf};
-use pwf_runner::json::Json;
 
 use crate::engine::EngineConfig;
 use crate::predict::{self, PredictKey};

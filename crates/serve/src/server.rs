@@ -25,8 +25,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use pwf_obs::json::Json;
 use pwf_obs::{EventKind, ObsHandle};
-use pwf_runner::json::Json;
 
 use crate::engine::{Engine, EngineConfig, ServeError, Served};
 use crate::http::{parse_request, ParseError, Request, Response};

@@ -1,5 +1,5 @@
 //! Schema pins for the service's wire formats, validated with the
-//! runner's own zero-dependency JSON parser (the same approach as the
+//! workspace's JSON parser, `pwf_obs::json` (the same approach as the
 //! runner's `perfetto_schema` suite): the `/predict` response body,
 //! the error shape, and the `/metrics` plain-text grammar are
 //! contracts — dashboards and the CI gate parse them — so their shape
@@ -8,8 +8,8 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
+use pwf_obs::json::Json;
 use pwf_obs::ObsHandle;
-use pwf_runner::json::Json;
 use pwf_serve::server::{start, ServerConfig};
 
 fn boot() -> (pwf_serve::server::ServerHandle, SocketAddr) {

@@ -31,7 +31,7 @@
 //! | [`pwf_ballsbins`] | the iterated balls-into-bins game of Section 6.1.3 |
 //! | [`pwf_theory`] | Ramanujan Q / `Z(i)` recurrence, birthday bounds, latency and completion-rate predictions |
 //! | [`pwf_hardware`] | real-atomics Treiber stack, Michael–Scott queue, FAI counter, schedule recorders (Appendix A/B) |
-//! | [`pwf_obs`] | zero-dependency tracing + metrics: ticket-ordered event rings, log2 histograms with quantiles, Perfetto export |
+//! | [`pwf_obs`] | zero-dependency tracing + metrics: ticket-ordered event rings, log2 histograms with quantiles, Perfetto export, and the workspace's one JSON writer and parser |
 //! | [`pwf_core`] | one-call experiment drivers combining all of the above |
 //!
 //! # Quickstart

@@ -5,11 +5,11 @@
 //! streams.
 
 use practically_wait_free::obs::{
-    Event, EventKind, FlightDump, Histogram, LatencySummary, Watchdog, DEFAULT_KEEP_PER_THREAD,
-    DEFAULT_MAX_OFFENDERS,
+    Event, EventKind, FlightDump, Histogram, LatencySummary, Metrics, Watchdog,
+    DEFAULT_KEEP_PER_THREAD, DEFAULT_MAX_OFFENDERS,
 };
 use proptest::prelude::*;
-use pwf_runner::json::Json;
+use pwf_obs::json::Json;
 
 /// Samples spanning every magnitude (including the extremes), not
 /// just the small integers a naive `0..N` range would produce.
@@ -165,12 +165,18 @@ proptest! {
         for i in 0..breaches {
             w.observe((i % 4) as u32, i, 100 + i);
         }
+        // Gauges take any f64; JSON cannot spell the non-finite ones,
+        // so they must come out as null, not as a bare `NaN`/`inf`.
+        let m = Metrics::new();
+        m.gauge_set("nan", f64::NAN);
+        m.gauge_set("inf", f64::INFINITY);
+        m.gauge_set("half", 0.5);
         let dump = FlightDump::capture(
             "tail exceedance",
             &w.report(),
             &events,
             DEFAULT_KEEP_PER_THREAD,
-            None,
+            Some(m.snapshot()),
             1.0,
         );
 
@@ -179,6 +185,10 @@ proptest! {
         prop_assert_eq!(doc.get("threshold").and_then(Json::as_u64), Some(10));
         prop_assert_eq!(doc.get("observed").and_then(Json::as_u64), Some(breaches));
         prop_assert_eq!(doc.get("exceeded").and_then(Json::as_u64), Some(breaches));
+        let gauges = doc.get("metrics").and_then(|m| m.get("gauges")).expect("gauges");
+        prop_assert_eq!(gauges.get("nan"), Some(&Json::Null));
+        prop_assert_eq!(gauges.get("inf"), Some(&Json::Null));
+        prop_assert_eq!(gauges.get("half").and_then(Json::as_f64), Some(0.5));
 
         // Every event survives the trip to JSON and back, in order.
         let evs = doc.get("events").and_then(Json::as_array).expect("events array");

@@ -167,6 +167,22 @@ pub struct StackProcess {
     last: Option<StackResult>,
 }
 
+/// Seeds of [`StackProcess::fingerprint`]'s two lanes.
+const FINGERPRINT_LANES: (u64, u64) = (0xB7E1_5162, 0x243F_6A88_85A3_08D3);
+
+/// Folds `words` into `lanes` with [`fold_word`]: even positions into
+/// the first lane, odd into the second.
+#[inline]
+fn fold_lanes((mut x, mut y): (u64, u64), words: &[u64]) -> (u64, u64) {
+    for pair in words.chunks(2) {
+        x = fold_word(x, pair[0]);
+        if let Some(&w) = pair.get(1) {
+            y = fold_word(y, w);
+        }
+    }
+    (x, y)
+}
+
 impl StackProcess {
     /// Creates process `index` of `stack`, running `script` and
     /// starting over when it ends.
@@ -200,6 +216,13 @@ impl StackProcess {
 
     /// Fingerprint of the behaviour-relevant local state: script
     /// position, phase and its cached reads, and the nodes in hand.
+    ///
+    /// The words are folded in two independent lanes, even positions
+    /// into one and odd into the other, so the two multiply chains
+    /// overlap instead of running back to back; the lanes are combined
+    /// and finished with one `mix64`. A change to one word changes one
+    /// lane, bijectively, so equal-length word lists that differ in one
+    /// word still never collide.
     pub fn fingerprint(&self) -> u64 {
         let [a, b, c, d] = self.phase.words();
         let head = [
@@ -212,8 +235,10 @@ impl StackProcess {
             self.spare.map_or(0, |s| s + 1),
             self.recycled.len() as u64,
         ];
-        let h = head.iter().fold(0xB7E1_5162, |h, &w| fold_word(h, w));
-        mix64(self.recycled.iter().fold(h, |h, &w| fold_word(h, w)))
+        // `head` has even length, so `recycled` starts on the even lane.
+        let lanes = fold_lanes(FINGERPRINT_LANES, &head);
+        let (x, y) = fold_lanes(lanes, &self.recycled);
+        mix64(x ^ y.rotate_left(32))
     }
 
     fn bump(&self, tag: u64) -> u64 {
@@ -448,15 +473,22 @@ mod tests {
         }
     }
 
-    /// [`StackProcess::fingerprint`]'s fold, written as one iterator
-    /// chain over the same words.
+    /// [`StackProcess::fingerprint`]'s two-lane fold, written as one
+    /// iterator chain over the same words.
     fn chained_fingerprint(p: &StackProcess) -> u64 {
         let words = [p.pos as u64, p.phase.code()]
             .into_iter()
             .chain(p.phase.words())
             .chain([p.spare.map_or(0, |s| s + 1), p.recycled.len() as u64])
             .chain(p.recycled.iter().copied());
-        mix64(words.fold(0xB7E1_5162, fold_word))
+        let (x, y) = words.enumerate().fold(FINGERPRINT_LANES, |(x, y), (i, w)| {
+            if i % 2 == 0 {
+                (fold_word(x, w), y)
+            } else {
+                (x, fold_word(y, w))
+            }
+        });
+        mix64(x ^ y.rotate_left(32))
     }
 
     #[test]

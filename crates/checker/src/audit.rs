@@ -27,14 +27,14 @@
 //! *unbounded* algorithm confirm that bounded minimal progress holds
 //! in the large, complementing the small-config exhaustive proof.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use pwf_core::progress_audit::{audit as stochastic_audit, ProgressAuditReport};
 use pwf_core::spec::{AlgorithmSpec, SchedulerSpec};
 use pwf_sim::crash::CrashScheduleError;
 
-/// Hasher of the fingerprint-keyed maps below: one multiply-rotate per
+/// Hasher of the fingerprint-to-id map below: one multiply-rotate per
 /// word. The keys are already 64-bit hashes of internal state, not
 /// external input, so SipHash's flooding resistance buys nothing.
 #[derive(Default)]
@@ -58,42 +58,133 @@ impl Hasher for FpHasher {
 
 type FpMap<V> = HashMap<u64, V, BuildHasherDefault<FpHasher>>;
 
-/// The explored state graph: fingerprint-keyed states, transitions
-/// annotated with whether they completed an operation, and for each
-/// state the first schedule prefix that reached it (a witness).
+/// One recorded transition, stored with the state it leaves.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    /// Fingerprint of the state reached, so a step recognises a known
+    /// edge without looking its target up.
+    to_fp: u64,
+    /// Id of the state reached.
+    to: u32,
+    /// Whether the transition completed an operation.
+    completed: bool,
+}
+
+/// The explored state graph: states numbered densely in discovery
+/// order, transitions annotated with whether they completed an
+/// operation, and for each state the first schedule prefix that
+/// reached it (a witness).
+///
+/// One map takes a fingerprint to its state's id; everything else is
+/// an array indexed by id. A step from a known state whose transition
+/// is already recorded finds it among that state's out-edges (at most
+/// one per process) and touches no map: only a new transition probes
+/// the fingerprint map.
 #[derive(Debug, Default)]
 pub struct StateGraph {
-    edges: FpMap<Vec<(u64, bool)>>,
-    edge_set: HashSet<(u64, u64, bool), BuildHasherDefault<FpHasher>>,
-    first_prefix: FpMap<Vec<usize>>,
+    ids: FpMap<u32>,
+    /// Each state's fingerprint.
+    fps: Vec<u64>,
+    /// Each state's first prefix, as a range of `prefix_steps`; `None`
+    /// for a state only ever named as an edge endpoint (possible only
+    /// in a hand-built graph).
+    prefixes: Vec<Option<(usize, usize)>>,
+    /// Every recorded prefix, concatenated.
+    prefix_steps: Vec<usize>,
+    /// Each state's distinct out-edges, in the order they were found.
+    out: Vec<Vec<Edge>>,
 }
 
 impl StateGraph {
-    /// Records a state and (if new) the schedule prefix reaching it.
-    pub fn note_state(&mut self, fp: u64, prefix: &[usize]) {
-        self.first_prefix
-            .entry(fp)
-            .or_insert_with(|| prefix.to_vec());
+    /// The id of state `fp`, numbering it if it is new.
+    fn intern(&mut self, fp: u64) -> u32 {
+        let next = u32::try_from(self.fps.len()).expect("fewer than 2^32 states");
+        let id = *self.ids.entry(fp).or_insert(next);
+        if id == next {
+            self.fps.push(fp);
+            self.prefixes.push(None);
+            self.out.push(Vec::new());
+        }
+        id
     }
 
-    /// Records a transition; returns `true` if it was new.
-    pub fn note_edge(&mut self, from: u64, to: u64, completed: bool) -> bool {
-        if self.edge_set.insert((from, to, completed)) {
-            self.edges.entry(from).or_default().push((to, completed));
-            true
-        } else {
-            false
+    /// Records a state and (if it has none yet) the schedule prefix
+    /// reaching it; returns the state's id.
+    pub fn note_state(&mut self, fp: u64, prefix: &[usize]) -> u32 {
+        let id = self.intern(fp);
+        let slot = &mut self.prefixes[id as usize];
+        if slot.is_none() {
+            let start = self.prefix_steps.len();
+            self.prefix_steps.extend_from_slice(prefix);
+            *slot = Some((start, self.prefix_steps.len()));
         }
+        id
+    }
+
+    /// The state reached from state `from` by a recorded transition to
+    /// fingerprint `to` with this completion flag, if there is one.
+    fn known_edge(&self, from: u32, to: u64, completed: bool) -> Option<u32> {
+        self.out[from as usize]
+            .iter()
+            .find(|e| e.to_fp == to && e.completed == completed)
+            .map(|e| e.to)
+    }
+
+    /// Records a transition between fingerprints; returns `true` if it
+    /// was new. Two transitions from one state to the same state with
+    /// the same completion flag are one transition, whichever processes
+    /// took them.
+    pub fn note_edge(&mut self, from: u64, to: u64, completed: bool) -> bool {
+        let from = self.intern(from);
+        if self.known_edge(from, to, completed).is_some() {
+            return false;
+        }
+        let to_id = self.intern(to);
+        self.out[from as usize].push(Edge {
+            to_fp: to,
+            to: to_id,
+            completed,
+        });
+        true
+    }
+
+    /// Records a step from state id `from` to fingerprint `to`, which
+    /// `prefix` reached. A new transition is recorded with its target
+    /// state, and the target keeps `prefix` if it had none. Returns the
+    /// target's id and whether the transition was new.
+    pub(crate) fn note_step(
+        &mut self,
+        from: u32,
+        to: u64,
+        completed: bool,
+        prefix: &[usize],
+    ) -> (u32, bool) {
+        if let Some(id) = self.known_edge(from, to, completed) {
+            return (id, false);
+        }
+        let id = self.note_state(to, prefix);
+        self.out[from as usize].push(Edge {
+            to_fp: to,
+            to: id,
+            completed,
+        });
+        (id, true)
     }
 
     /// Number of distinct states recorded.
     pub fn state_count(&self) -> usize {
-        self.first_prefix.len()
+        self.fps.len()
     }
 
     /// The first schedule prefix that reached `fp`, if recorded.
     pub fn witness_prefix(&self, fp: u64) -> Option<&[usize]> {
-        self.first_prefix.get(&fp).map(Vec::as_slice)
+        let &id = self.ids.get(&fp)?;
+        self.prefix_of(id as usize)
+    }
+
+    /// The first prefix of state `id`, if recorded.
+    fn prefix_of(&self, id: usize) -> Option<&[usize]> {
+        self.prefixes[id].map(|(start, end)| &self.prefix_steps[start..end])
     }
 
     /// The fair-progress (Theorem 3) audit: finds a reachable bottom
@@ -109,9 +200,10 @@ impl StateGraph {
     /// recorded schedule prefix reached first, ties broken by the
     /// lexicographically smallest prefix, or `None` when every fair
     /// execution keeps completing operations. The choice depends on the
-    /// explored schedules alone, not on fingerprint values or map
-    /// iteration order. States with no recorded prefix (possible only
-    /// in a hand-built graph) come last, smallest fingerprint first.
+    /// explored schedules alone, not on fingerprint values or the order
+    /// states were found in. States with no recorded prefix (possible
+    /// only in a hand-built graph) come last, smallest fingerprint
+    /// first.
     ///
     /// Soundness requires an *edge-complete* graph (an unpruned
     /// exploration): sleep-set reduction omits edges whose
@@ -122,25 +214,7 @@ impl StateGraph {
     /// already implies it: a completion-free bottom component contains
     /// a completion-free cycle).
     pub fn fair_livelock(&self) -> Option<u64> {
-        // Node universe: everything noted plus every edge endpoint,
-        // sorted so component numbering is deterministic.
-        let mut nodes: Vec<u64> = self.first_prefix.keys().copied().collect();
-        for (&from, outs) in &self.edges {
-            nodes.push(from);
-            nodes.extend(outs.iter().map(|&(to, _)| to));
-        }
-        nodes.sort_unstable();
-        nodes.dedup();
-        let idx_of: FpMap<usize> = nodes.iter().enumerate().map(|(i, &f)| (f, i)).collect();
-        let adj: Vec<Vec<usize>> = nodes
-            .iter()
-            .map(|f| {
-                self.edges.get(f).map_or_else(Vec::new, |outs| {
-                    outs.iter().map(|&(to, _)| idx_of[&to]).collect()
-                })
-            })
-            .collect();
-        let n = nodes.len();
+        let n = self.fps.len();
 
         // Iterative Tarjan SCC.
         let mut order = vec![usize::MAX; n];
@@ -161,7 +235,8 @@ impl StateGraph {
             stack.push(root);
             on_stack[root] = true;
             while let Some(&(v, cursor)) = call.last() {
-                if let Some(&w) = adj[v].get(cursor) {
+                if let Some(e) = self.out[v].get(cursor) {
+                    let w = e.to as usize;
                     call.last_mut().expect("frame exists").1 += 1;
                     if order[w] == usize::MAX {
                         order[w] = next_order;
@@ -198,32 +273,27 @@ impl StateGraph {
         let mut internal = vec![false; ncomps];
         let mut completes = vec![false; ncomps];
         let mut outgoing = vec![false; ncomps];
-        for (&from, outs) in &self.edges {
-            let cf = comp[idx_of[&from]];
-            for &(to, completed) in outs {
-                let ct = comp[idx_of[&to]];
-                if cf == ct {
+        for (from, outs) in self.out.iter().enumerate() {
+            let cf = comp[from];
+            for e in outs {
+                if cf == comp[e.to as usize] {
                     internal[cf] = true;
-                    if completed {
-                        completes[cf] = true;
-                    }
+                    completes[cf] |= e.completed;
                 } else {
                     outgoing[cf] = true;
                 }
             }
         }
-        nodes
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| {
+        (0..n)
+            .filter(|&i| {
                 let c = comp[i];
                 internal[c] && !completes[c] && !outgoing[c]
             })
-            .map(|(_, &fp)| fp)
-            .min_by_key(|&fp| {
-                let prefix = self.witness_prefix(fp);
-                (prefix.is_none(), prefix.map(|p| (p.len(), p)), fp)
+            .min_by_key(|&i| {
+                let prefix = self.prefix_of(i);
+                (prefix.is_none(), prefix.map(|p| (p.len(), p)), self.fps[i])
             })
+            .map(|i| self.fps[i])
     }
 
     /// Searches the completion-free transition subgraph for a cycle.
@@ -232,49 +302,59 @@ impl StateGraph {
     /// lock-freedom.
     pub fn completion_free_cycle(&self) -> Option<u64> {
         // Iterative three-colour DFS over edges with `completed ==
-        // false`.
+        // false`. A grey state is on the DFS path, so an edge into one
+        // closes a cycle through it.
         #[derive(Clone, Copy, PartialEq)]
         enum Colour {
             White,
             Grey,
             Black,
         }
-        let mut colour: FpMap<Colour> = FpMap::default();
-        for &root in self.first_prefix.keys() {
-            if *colour.get(&root).unwrap_or(&Colour::White) != Colour::White {
+        let mut colour = vec![Colour::White; self.fps.len()];
+        // Stack of (state, next out-edge index).
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        for root in 0..self.fps.len() {
+            if colour[root] != Colour::White {
                 continue;
             }
-            // Stack of (node, next-child-index).
-            let mut stack: Vec<(u64, usize)> = vec![(root, 0)];
-            colour.insert(root, Colour::Grey);
+            stack.push((root, 0));
+            colour[root] = Colour::Grey;
             while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-                let children = self.edges.get(&node);
-                let next = children.and_then(|cs| {
-                    cs.iter()
-                        .skip(*idx)
-                        .position(|&(_, completed)| !completed)
-                        .map(|off| (*idx + off, cs[*idx + off].0))
-                });
+                let outs = &self.out[node];
+                let next = outs[*idx..].iter().position(|e| !e.completed);
                 match next {
-                    Some((child_idx, child)) => {
-                        *idx = child_idx + 1;
-                        match *colour.get(&child).unwrap_or(&Colour::White) {
-                            Colour::Grey => return Some(child),
+                    Some(off) => {
+                        let child = outs[*idx + off].to as usize;
+                        *idx += off + 1;
+                        match colour[child] {
+                            Colour::Grey => return Some(self.fps[child]),
                             Colour::White => {
-                                colour.insert(child, Colour::Grey);
+                                colour[child] = Colour::Grey;
                                 stack.push((child, 0));
                             }
                             Colour::Black => {}
                         }
                     }
                     None => {
-                        colour.insert(node, Colour::Black);
+                        colour[node] = Colour::Black;
                         stack.pop();
                     }
                 }
             }
         }
         None
+    }
+}
+
+#[cfg(test)]
+impl StateGraph {
+    /// Every transition as `(from, to, completed)` fingerprints, sorted.
+    pub(crate) fn edge_list(&self) -> Vec<(u64, u64, bool)> {
+        let mut edges: Vec<(u64, u64, bool)> = (self.fps.iter().zip(&self.out))
+            .flat_map(|(&from, outs)| outs.iter().map(move |e| (from, e.to_fp, e.completed)))
+            .collect();
+        edges.sort_unstable();
+        edges
     }
 }
 
@@ -341,6 +421,74 @@ mod tests {
         assert!(g.note_edge(1, 2, false));
         assert!(!g.note_edge(1, 2, false));
         assert!(g.note_edge(1, 2, true), "completion flag distinguishes");
+    }
+
+    #[test]
+    fn processes_stepping_to_the_same_successor_make_one_transition() {
+        // Two processes stepping from one state to the same state, with
+        // the same completion flag, record one transition; the flag
+        // alone makes a second.
+        let mut g = StateGraph::default();
+        let root = g.note_state(10, &[]);
+        let (to, new) = g.note_step(root, 20, false, &[0]);
+        assert!(new);
+        assert_eq!(g.note_step(root, 20, false, &[1]), (to, false));
+        assert_eq!(g.note_step(root, 20, true, &[1]).0, to);
+        assert_eq!(g.edge_list(), [(10, 20, false), (10, 20, true)]);
+        assert_eq!(g.state_count(), 2);
+        // A known transition is known by fingerprint too.
+        assert!(!g.note_edge(10, 20, true));
+    }
+
+    #[test]
+    fn a_state_keeps_the_prefix_of_the_first_new_edge_into_it() {
+        let mut g = StateGraph::default();
+        let root = g.note_state(1, &[]);
+        let (a, _) = g.note_step(root, 2, false, &[0]);
+        let (b, _) = g.note_step(root, 3, false, &[1]);
+        let (via_a, _) = g.note_step(a, 4, false, &[0, 1]);
+        let (via_b, new) = g.note_step(b, 4, false, &[1, 0]);
+        assert!(new, "a second edge into a known state is a new edge");
+        assert_eq!(via_a, via_b);
+        assert_eq!(g.witness_prefix(4), Some(&[0, 1][..]));
+        // A state first named as an edge endpoint takes the prefix of
+        // the first step that reaches it.
+        g.note_edge(4, 5, false);
+        assert_eq!(g.witness_prefix(5), None);
+        g.note_step(via_a, 6, true, &[0, 1, 1]);
+        let (five, _) = g.note_step(via_a, 5, true, &[0, 1, 0]);
+        assert_eq!(g.witness_prefix(5), Some(&[0, 1, 0][..]));
+        g.note_state(5, &[9]);
+        assert_eq!(g.witness_prefix(5), Some(&[0, 1, 0][..]));
+        assert_eq!(g.note_state(5, &[]), five);
+        assert_eq!(g.witness_prefix(7), None, "unknown state");
+    }
+
+    #[test]
+    fn completion_free_cycle_returns_a_state_on_the_cycle() {
+        // A completion-free tail 1 → 2 → … → 8 into the cycle
+        // 8 → 9 → 10 → 8, and a completing branch 1 → 11 → 1. The tail
+        // is found first, so the returned state must come from the
+        // cycle, not the path that led to it.
+        let mut g = StateGraph::default();
+        g.note_state(1, &[]);
+        for fp in 1..8 {
+            g.note_edge(fp, fp + 1, false);
+        }
+        g.note_edge(8, 9, false);
+        g.note_edge(9, 10, false);
+        g.note_edge(10, 8, false);
+        g.note_edge(1, 11, true);
+        g.note_edge(11, 1, false);
+        let hit = g.completion_free_cycle().expect("8 → 9 → 10 → 8");
+        assert!((8..=10).contains(&hit), "{hit} is not on the cycle");
+        // Completing the cycle's last edge leaves no completion-free
+        // cycle (1 → 11 → 1 completes).
+        let mut g2 = StateGraph::default();
+        for (from, to, completed) in g.edge_list() {
+            g2.note_edge(from, to, completed || (from, to) == (10, 8));
+        }
+        assert_eq!(g2.completion_free_cycle(), None);
     }
 
     #[test]

@@ -237,19 +237,15 @@ fn cmd_vet(args: &VetArgs) -> i32 {
         }
         let ok = match (&violation, target.expect_failure) {
             (None, false) => {
-                let lock_free = match target.progress {
-                    Progress::LockFree => {
-                        if report.graph.completion_free_cycle().is_none() {
-                            "yes"
-                        } else {
-                            "NO (completion-free cycle)"
-                        }
-                    }
-                    Progress::StochasticOnly => "n/a (blocking by design)",
+                let (lock_free, ok) = match target.progress {
+                    Progress::LockFree => match report.graph.completion_free_cycle() {
+                        None => ("yes", true),
+                        Some(_) => ("NO (completion-free cycle)", false),
+                    },
+                    Progress::StochasticOnly => ("n/a (blocking by design)", true),
                 };
                 println!("   linearizable: yes   lock-free: {lock_free}   fair-progress: yes");
-                target.progress == Progress::StochasticOnly
-                    || report.graph.completion_free_cycle().is_none()
+                ok
             }
             (None, true) => {
                 println!(

@@ -70,8 +70,10 @@
 //! (blocking by design, e.g. a waiting coalescer) it merely truncates
 //! the run, and liveness is judged by the fair-cycle audit on the
 //! merged state graph instead ([`crate::audit::StateGraph::fair_livelock`]).
-//! Fingerprints are 64-bit, so a hash collision could in principle
-//! misreport; the run-local `seen` table keys on a *pair* of
+//! A run detects the repetition with its `seen` list: the fingerprint
+//! pairs of the states since its last completion, appended as they are
+//! reached and scanned linearly. Fingerprints are 64-bit, so a hash
+//! collision could in principle misreport; `seen` keys on a *pair* of
 //! independent 64-bit hashes, so a single-hash collision cannot
 //! fabricate a livelock, and every reported schedule replays
 //! deterministically for confirmation.
@@ -82,16 +84,23 @@
 //! process's local fingerprint, every remaining budget. Each is a
 //! wrapping sum of one [`mix64`] term per word, keyed by the word's
 //! position, with a different key sequence and word transform per
-//! hash. The primary hash keys the state graph; the verification hash
-//! backs it in the livelock check. A step changes at most three words
-//! — the register its access touched (processes are plain data and
-//! issue one shared-memory access per step), the stepping process's
-//! local fingerprint, and on a completion its budget — so `step_raw`
-//! updates both sums by swapping those words' old terms for new ones
+//! hash. The primary hash names a state in the state graph; the
+//! verification hash backs it in the livelock check. A step changes at
+//! most three words — the register its access touched (processes are
+//! plain data and issue one shared-memory access per step), the
+//! stepping process's local fingerprint, and on a completion its
+//! budget — so `step_raw` updates both sums by swapping those words' old terms for new ones
 //! and never rehashes the rest. A run keeps a shadow of the register
 //! file for the old values and a cache of every process's
 //! [`CheckProcess::local_fingerprint`]. Debug builds check each
 //! updated pair against a from-scratch hash of all words.
+//!
+//! Recording a step hashes nothing more. The state graph numbers states
+//! densely, and every unit and every stepped branch carries its state's
+//! id, so a step whose transition is already recorded finds it among
+//! that state's out-edges (at most one per process) by comparing
+//! fingerprints. Only a new transition looks its target up in the
+//! graph's fingerprint map ([`StateGraph`]).
 //!
 //! No report depends on the hash values themselves: the state graph
 //! only compares fingerprints for equality, and the fair-livelock
@@ -326,9 +335,12 @@ pub struct LiveRun {
     ops: Vec<TimedOp>,
     op_start: Vec<Option<u64>>,
     /// Fingerprint *pairs* of every state this run has passed through
-    /// since its last completion, sorted: a set that snapshots with one
-    /// copy. A completion lowers a budget, which the state words
-    /// include, so no later state can equal an earlier one. Keying on
+    /// since its last completion, in the order reached: a set that
+    /// snapshots with one copy, grows by appending, and is searched
+    /// linearly (a completion-free segment is tens of states, so a scan
+    /// beats keeping it sorted). A completion lowers a budget, which
+    /// the state words include, so no later state can equal an earlier
+    /// one. Keying on
     /// the pair means a single-hash collision cannot forge a revisit
     /// (phantom livelock) — both independent hashes would have to
     /// collide at once.
@@ -546,13 +558,10 @@ impl LiveRun {
             "a step changed a state word other than its register, its \
              process's local fingerprint and its budget"
         );
-        let revisit = match self.seen.binary_search(&self.fp_pair) {
-            Ok(_) => true,
-            Err(i) => {
-                self.seen.insert(i, self.fp_pair);
-                false
-            }
-        };
+        let revisit = self.seen.contains(&self.fp_pair);
+        if !revisit {
+            self.seen.push(self.fp_pair);
+        }
         if revisit || self.trace.len() >= max_depth {
             self.livelocked = true;
         }
@@ -567,39 +576,48 @@ struct Unit {
     /// Boxed, so queueing, splitting off and recycling a unit moves a
     /// pointer instead of the run.
     run: Box<LiveRun>,
+    /// The state-graph id of the run's state.
+    state: u32,
     sleep: Vec<(usize, Access)>,
     /// The enabled processes not asleep here, as a mask; branches are
     /// taken lowest bit first.
     explorable: u64,
+    /// Approximate bytes the unit holds (see
+    /// [`LiveRun::footprint_bytes`]), taken when it is queued.
+    bytes: usize,
 }
 
 impl Unit {
-    /// Approximate bytes the unit holds (see [`LiveRun::footprint_bytes`]).
-    fn footprint_bytes(&self) -> usize {
-        self.run.footprint_bytes() + self.sleep.len() * std::mem::size_of::<(usize, Access)>()
+    fn new(run: Box<LiveRun>, state: u32, sleep: Vec<(usize, Access)>, explorable: u64) -> Self {
+        let bytes = run.footprint_bytes() + sleep.len() * std::mem::size_of::<(usize, Access)>();
+        Unit {
+            run,
+            state,
+            sleep,
+            explorable,
+            bytes,
+        }
     }
 }
 
-/// Steps `run` by process `p` and records the step: a new transition
-/// (and the state it reaches, with the schedule that reached it) in
-/// `graph`, the depth in `stats`. Returns the step's shared-memory
-/// access.
+/// Steps `run`, whose state has graph id `*at`, by process `p` and
+/// records the step: a new transition (and the state it reaches, with
+/// the schedule that reached it) in `graph`, the depth in `stats`.
+/// Moves `*at` to the reached state's id and returns the step's
+/// shared-memory access.
 fn record_step(
     graph: &mut StateGraph,
     stats: &mut ExploreStats,
     run: &mut LiveRun,
+    at: &mut u32,
     p: usize,
     max_depth: usize,
 ) -> Access {
-    let from = run.fingerprint();
     let (access, completed) = run.step_raw(p, max_depth);
-    let to = run.fingerprint();
     stats.steps += 1;
-    // A known edge's target state was noted with it.
-    if graph.note_edge(from, to, completed) {
-        stats.transitions += 1;
-        graph.note_state(to, run.trace());
-    }
+    let (to, new) = graph.note_step(*at, run.fingerprint(), completed, run.trace());
+    stats.transitions += u64::from(new);
+    *at = to;
     stats.max_depth = stats.max_depth.max(run.trace().len());
     access
 }
@@ -679,8 +697,10 @@ impl Explorer<'_> {
     fn expand(&mut self, unit: Unit) {
         let Unit {
             run: snapshot,
+            state,
             sleep,
             explorable,
+            ..
         } = unit;
         let mut snapshot = Some(snapshot);
         self.explored.clear();
@@ -696,6 +716,7 @@ impl Explorer<'_> {
             self.sleep_now.clear();
             self.sleep_now.extend_from_slice(&sleep);
             let mut next_p = p;
+            let mut at = state;
             // Sibling sleepers apply to the first step only; compressed
             // chain steps have no siblings.
             let mut first = true;
@@ -704,6 +725,7 @@ impl Explorer<'_> {
                     &mut self.graph,
                     &mut self.stats,
                     &mut run,
+                    &mut at,
                     next_p,
                     self.opts.max_depth,
                 );
@@ -753,12 +775,8 @@ impl Explorer<'_> {
                     next_p = explorable.trailing_zeros() as usize;
                     first = false;
                 } else {
-                    let child = Unit {
-                        run,
-                        sleep: self.sleep_now.clone(),
-                        explorable,
-                    };
-                    self.held_bytes += child.footprint_bytes();
+                    let child = Unit::new(run, at, self.sleep_now.clone(), explorable);
+                    self.held_bytes += child.bytes;
                     self.frontier.push(child);
                     break None;
                 }
@@ -785,26 +803,23 @@ pub fn explore(target: &CheckTarget, opts: &ExploreOptions) -> ExploreReport {
         lin: Linearizer::default(),
     };
     let root = Box::new(LiveRun::new(target.build()));
-    ex.graph.note_state(root.fingerprint(), &[]);
+    let state = ex.graph.note_state(root.fingerprint(), &[]);
     if root.is_terminal() {
         ex.stats.executions = 1;
         if ex.lin.check(root.spec(), root.ops()).is_none() {
             ex.consider_violation(ViolationKind::NotLinearizable, &root);
         }
     } else {
-        let unit = Unit {
-            explorable: root.enabled(),
-            run: root,
-            sleep: Vec::new(),
-        };
-        ex.held_bytes = unit.footprint_bytes();
+        let explorable = root.enabled();
+        let unit = Unit::new(root, state, Vec::new(), explorable);
+        ex.held_bytes = unit.bytes;
         ex.frontier.push(unit);
     }
 
     while !ex.frontier.is_empty() {
         let take = ex.frontier.len().min(CHUNK);
         let chunk = ex.frontier.split_off(ex.frontier.len() - take);
-        let chunk_bytes: usize = chunk.iter().map(Unit::footprint_bytes).sum();
+        let chunk_bytes: usize = chunk.iter().map(|unit| unit.bytes).sum();
         for unit in chunk {
             ex.expand(unit);
         }
@@ -848,20 +863,23 @@ pub fn explore_recursive(target: &CheckTarget, opts: &ExploreOptions) -> Explore
     }
 
     impl Rec<'_> {
-        fn execute(&mut self, prefix: &[usize]) -> LiveRun {
+        /// Replays `prefix` from a fresh build; returns the run and its
+        /// state's graph id.
+        fn execute(&mut self, prefix: &[usize]) -> (LiveRun, u32) {
             let mut run = LiveRun::new(self.target.build());
-            self.graph.note_state(run.fingerprint(), &[]);
+            let mut at = self.graph.note_state(run.fingerprint(), &[]);
             for &p in prefix {
-                self.step(&mut run, p);
+                self.step(&mut run, &mut at, p);
             }
-            run
+            (run, at)
         }
 
-        fn step(&mut self, run: &mut LiveRun, p: usize) -> Access {
+        fn step(&mut self, run: &mut LiveRun, at: &mut u32, p: usize) -> Access {
             record_step(
                 &mut self.graph,
                 &mut self.stats,
                 run,
+                at,
                 p,
                 self.opts.max_depth,
             )
@@ -915,8 +933,8 @@ pub fn explore_recursive(target: &CheckTarget, opts: &ExploreOptions) -> Explore
                 if self.done() {
                     return;
                 }
-                let mut child = self.execute(prefix);
-                let access = self.step(&mut child, p);
+                let (mut child, mut at) = self.execute(prefix);
+                let access = self.step(&mut child, &mut at, p);
                 let child_sleep: Vec<(usize, Access)> = sleep
                     .iter()
                     .chain(explored.iter())
@@ -938,7 +956,7 @@ pub fn explore_recursive(target: &CheckTarget, opts: &ExploreOptions) -> Explore
         graph: StateGraph::default(),
         violation: None,
     };
-    let run = ex.execute(&[]);
+    let (run, _) = ex.execute(&[]);
     let mut prefix = Vec::new();
     ex.dfs(run, &mut prefix, &[]);
     ex.stats.distinct_states = ex.graph.state_count() as u64;
@@ -1112,7 +1130,116 @@ mod tests {
             assert_eq!(f.transitions, r.transitions, "{name}");
             assert_eq!(f.distinct_states, r.distinct_states, "{name}");
             assert_eq!(f.max_depth, r.max_depth, "{name}");
+            // Not just as many transitions: the same ones.
+            assert_eq!(
+                frontier.graph.edge_list(),
+                recursive.graph.edge_list(),
+                "{name}"
+            );
         }
+    }
+
+    /// A process that never completes: each step reads its register and
+    /// advances a local counter modulo `period`, so a solo run revisits
+    /// its first state after exactly `period` steps.
+    #[derive(Clone)]
+    struct Cycler {
+        reg: RegisterId,
+        at: u64,
+        period: u64,
+    }
+
+    impl Process for Cycler {
+        fn step(&mut self, mem: &mut SharedMemory) -> StepOutcome {
+            let _ = mem.read(self.reg);
+            self.at = (self.at + 1) % self.period;
+            StepOutcome::Ongoing
+        }
+
+        fn name(&self) -> &'static str {
+            "cycler"
+        }
+    }
+
+    impl CheckProcess for Cycler {
+        fn last_op(&self) -> OpRecord {
+            unreachable!("a cycler never completes an operation")
+        }
+
+        fn local_fingerprint(&self) -> u64 {
+            self.at
+        }
+    }
+
+    const PERIOD: u64 = 300;
+
+    fn cycler_config() -> CheckConfig {
+        let mut mem = SharedMemory::new();
+        let reg = mem.alloc(0);
+        CheckConfig {
+            mem,
+            procs: vec![Box::new(Cycler {
+                reg,
+                at: 0,
+                period: PERIOD,
+            })],
+            spec: Spec::counter(),
+            budgets: vec![1],
+        }
+    }
+
+    #[test]
+    fn a_long_completion_free_segment_is_reported_as_a_livelock() {
+        // Every state of the 300-step segment stays in `seen` until the
+        // run returns to its first state.
+        let cycler = CheckTarget {
+            name: "test-cycler",
+            description: "one process cycling through 300 completion-free states",
+            expect_failure: true,
+            progress: Progress::LockFree,
+            build: cycler_config,
+        };
+        let mut run = LiveRun::new(cycler.build());
+        for _ in 1..PERIOD {
+            let _ = run.step_raw(0, 4_096);
+            assert!(!run.livelocked());
+        }
+        let _ = run.step_raw(0, 4_096);
+        assert!(run.livelocked());
+        assert_eq!(run.seen.len(), PERIOD as usize);
+        let report = explore(&cycler, &ExploreOptions::default());
+        let v = report.violation.expect("the cycle is a livelock");
+        assert_eq!(v.kind, ViolationKind::Livelock);
+        assert_eq!(v.schedule, vec![0; PERIOD as usize]);
+        assert_eq!(report.stats.transitions, PERIOD);
+        assert_eq!(report.stats.distinct_states, PERIOD);
+        // The segment is one completion-free bottom component; its
+        // witness is the state the empty prefix reaches.
+        let witness = report
+            .graph
+            .fair_livelock()
+            .expect("no exit from the cycle");
+        assert_eq!(report.graph.witness_prefix(witness), Some(&[][..]));
+
+        // The shipped spinning mutants: a lock-free target's spinner
+        // is a livelock, and two spinners' self-loops from one state
+        // are a single transition.
+        let livelock = explore(
+            &crate::targets::find("livelock-mutant").unwrap(),
+            &ExploreOptions::default(),
+        );
+        let v = livelock.violation.expect("livelock-mutant is caught");
+        assert_eq!((v.kind, v.schedule), (ViolationKind::Livelock, vec![1]));
+        let spinners = explore(
+            &crate::targets::find("spinner-pair-mutant").unwrap(),
+            &ExploreOptions::default(),
+        );
+        assert!(spinners.violation.is_none(), "blocking by design");
+        assert_eq!(
+            (spinners.stats.executions, spinners.stats.transitions),
+            (2, 1)
+        );
+        assert!(spinners.graph.fair_livelock().is_some());
     }
 
     /// A schedule of at most `len` steps from a fresh build: at step

@@ -6,10 +6,11 @@
 //!
 //! The writer has two layouts over one code path: [`Json::render`]
 //! indents by two spaces, [`Json::render_compact`] puts the document
-//! on one line. Integers are kept exact (seeds are full-range `u64`s
-//! that would lose precision as `f64`); non-finite numbers, which JSON
-//! cannot spell, are written as `null`. The parser accepts standard
-//! JSON only.
+//! on one line ([`Json::render_compact_into`] appends that line to a
+//! string a streaming exporter is filling). Integers are kept exact
+//! (seeds are full-range `u64`s that would lose precision as `f64`);
+//! non-finite numbers, which JSON cannot spell, are written as `null`.
+//! The parser accepts standard JSON only.
 
 use std::fmt::Write as _;
 
@@ -104,8 +105,14 @@ impl Json {
     /// Serializes on one line: no whitespace, no trailing newline.
     pub fn render_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None);
+        self.render_compact_into(&mut out);
         out
+    }
+
+    /// Appends the [`render_compact`](Self::render_compact) layout to
+    /// `out`, for a writer that streams a document piece by piece.
+    pub fn render_compact_into(&self, out: &mut String) {
+        self.write(out, None);
     }
 
     /// `indent` is the nesting depth in the indented layout, `None` in

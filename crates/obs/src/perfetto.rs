@@ -22,24 +22,55 @@ use crate::json::Json;
 /// (the format's `ts` unit): pass `1.0` when ticks are already µs,
 /// `1000.0` when they are nanoseconds, or any scale that keeps the
 /// trace readable for unitless simulator steps.
+///
+/// Each trace event is rendered as soon as it is built, so the output
+/// string is the only thing that grows with the trace. The bytes are
+/// those of [`trace_value`] rendered compactly.
 pub fn trace_json(events: &[Event], process_name: &str, ticks_per_us: f64) -> String {
-    trace_value(events, process_name, ticks_per_us).render_compact()
+    let mut out = String::from("{\"traceEvents\":[");
+    let mut first = true;
+    for_each_trace_event(events, process_name, ticks_per_us, |event| {
+        if !first {
+            out.push(',');
+        }
+        first = false;
+        event.render_compact_into(&mut out);
+    });
+    out.push_str("],\"displayTimeUnit\":\"ns\"}");
+    out
 }
 
 /// The [`trace_json`] document as a value, for embedding whole in a
 /// flight dump.
 pub(crate) fn trace_value(events: &[Event], process_name: &str, ticks_per_us: f64) -> Json {
+    let mut out = Vec::new();
+    for_each_trace_event(events, process_name, ticks_per_us, |event| out.push(event));
+    Json::Obj(vec![
+        ("traceEvents".into(), Json::Arr(out)),
+        ("displayTimeUnit".into(), Json::Str("ns".into())),
+    ])
+}
+
+/// Builds the trace's records in document order and hands each to
+/// `sink`: process and thread metadata, then one record per event or
+/// matched operation, then the operations still open at the end.
+fn for_each_trace_event(
+    events: &[Event],
+    process_name: &str,
+    ticks_per_us: f64,
+    mut sink: impl FnMut(Json),
+) {
     let scale = if ticks_per_us > 0.0 {
         ticks_per_us
     } else {
         1.0
     };
-    let mut out = vec![metadata("process_name", 0, process_name)];
+    sink(metadata("process_name", 0, process_name));
     let mut threads: Vec<u32> = events.iter().map(|e| e.thread).collect();
     threads.sort_unstable();
     threads.dedup();
     for t in threads {
-        out.push(metadata("thread_name", t, &format!("thread {t}")));
+        sink(metadata("thread_name", t, &format!("thread {t}")));
     }
 
     // Per-thread stacks of open OpStart events, matched LIFO so nested
@@ -50,25 +81,20 @@ pub(crate) fn trace_value(events: &[Event], process_name: &str, ticks_per_us: f6
             EventKind::OpStart => open.entry(e.thread).or_default().push(*e),
             EventKind::OpEnd => {
                 if let Some(start) = open.get_mut(&e.thread).and_then(Vec::pop) {
-                    out.push(complete_event(&start, e, scale));
+                    sink(complete_event(&start, e, scale));
                 } else {
                     // The matching start was lost to ring wraparound.
-                    out.push(instant_event(e, scale));
+                    sink(instant_event(e, scale));
                 }
             }
-            _ => out.push(instant_event(e, scale)),
+            _ => sink(instant_event(e, scale)),
         }
     }
     for starts in open.values() {
         for start in starts {
-            out.push(instant_event(start, scale));
+            sink(instant_event(start, scale));
         }
     }
-
-    Json::Obj(vec![
-        ("traceEvents".into(), Json::Arr(out)),
-        ("displayTimeUnit".into(), Json::Str("ns".into())),
-    ])
 }
 
 fn ts(tick: u64, scale: f64) -> Json {
@@ -195,6 +221,23 @@ mod tests {
         ];
         let json = trace_json(&events, "demo", 1000.0);
         assert!(json.contains("\"ts\":2,\"dur\":2"));
+    }
+
+    #[test]
+    fn streamed_export_matches_the_rendered_value() {
+        let events = [
+            ev(0, 0, 2, EventKind::OpStart, 1),
+            ev(1, 10, 0, EventKind::OpEnd, 4),
+            ev(2, 15, 2, EventKind::CasFail, 1),
+            ev(3, 20, 2, EventKind::OpEnd, 3),
+            ev(4, 30, 1, EventKind::OpStart, 5),
+        ];
+        for (events, scale) in [(&events[..], 1.0), (&events[..], 3.0), (&[][..], 0.0)] {
+            assert_eq!(
+                trace_json(events, "p \"q\"", scale),
+                trace_value(events, "p \"q\"", scale).render_compact()
+            );
+        }
     }
 
     #[test]
